@@ -11,17 +11,15 @@ re-verifies it by exact recomposition before returning.
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import sympy as sp
+from sympy import QQ
 
-from .core import BiPoly, RatFunc, exponent_map
+from .core import BiPoly, RatFunc, exponent_map, to_pair
 from .errors import QModeMismatch, RatexactError
-from .qmodes import (PLAIN, RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL,
-                     q, x, y)
+from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x, y
 from .reductions import (PHI_QSHIFT, PHI_SHIFT, _lift_coefficientwise,
                          abramov_reduce_y, hermite_reduce_y,
                          phi_dy_reduced_form, tau_sigma_reduced_form,
                          tau_reduced_root_of_unity)
-from .residues import PfdTerm
 from .summation import abramov_summable_x, q_summable_x
 
 SHIFT_X_DERIV_Y = "shift_x:deriv_y"
@@ -236,6 +234,17 @@ def _solve_linear(rows, ncols, K):
     return sol
 
 
+def _specialize(rows, q0):
+    """rows of Q(q)-elements with q = q0, or None if q0 is a pole of one."""
+    out = []
+    for row in rows:
+        dens = [e.denom(q0) for e in row]
+        if not all(dens):
+            return None
+        out.append([QQ.quo(e.numer(q0), d) for e, d in zip(row, dens)])
+    return out
+
+
 def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     """Search for a certificate with denominators built from operator
     translates (radius R) of the denominator's factors at multiplicity
@@ -277,52 +286,39 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
                     lambda p, t: p.shift(y, t), R):
                 den_h = den_h * cand ** mult
 
+    ring = mode.poly_ring()
+
     def _monoms(den):
-        bound = D + sp.Poly(den.expr, x, y).total_degree()
-        return [x ** i * y ** j
+        bound = D + max(sum(m) for m in den.rep.itermonoms())
+        return [ring({(j, i): 1})
                 for i in range(bound + 1) for j in range(bound + 1 - i)]
 
+    def _over(p, den):
+        n, c = to_pair(p, mode)
+        d, e = to_pair(den.rep, mode)
+        return RatFunc.from_ring(n * e, c * d, mode)
+
     monoms_g, monoms_h = _monoms(den_g), _monoms(den_h)
-    basis = []
-    for mu in monoms_g:
-        basis.append(dx(RatFunc.from_pair(mu, den_g.expr, mode)))
-    for mu in monoms_h:
-        basis.append(dy(RatFunc.from_pair(mu, den_h.expr, mode)))
+    basis = [dx(_over(mu, den_g)) for mu in monoms_g]
+    basis += [dy(_over(mu, den_h)) for mu in monoms_h]
 
-    # common denominator across the basis and f
-    ext = mode.extension
-    L = sp.Integer(1)
-    for r in basis + [f]:
-        d = r.den.expr
-        gcd = sp.gcd(L, d, extension=ext) if ext is not None \
-            else sp.gcd(L, d)
-        L = sp.expand(sp.cancel(L * d / gcd))
-    gens_domain = mode.coeff_domain()
-    cleared = []
-    for r in basis + [f]:
-        p = sp.cancel(r.num.expr * sp.cancel(L / r.den.expr))
-        cleared.append(sp.Poly(p, x, y, domain=gens_domain))
-    target = cleared.pop()
+    # clear a common denominator across the basis and f; the entries
+    # share a few denominators, so the lcm takes each distinct one once
+    L = mode.pair_ring().one
+    for d in dict.fromkeys(r.denom for r in basis + [f]):
+        L = L.lcm(d)
+    cleared = [BiPoly.from_rep(r.numer * L.exquo(r.denom), mode).rep
+               for r in basis + [f]]
 
-    support = set()
-    for p in cleared + [target]:
-        support.update(p.monoms())
-    support = sorted(support)
-    K = gens_domain
-    rows = []
-    for mon in support:
-        row = [p.coeff_monomial(mon) or sp.Integer(0) for p in cleared]
-        row.append(target.coeff_monomial(mon) or sp.Integer(0))
-        rows.append([K.from_sympy(sp.sympify(e)) for e in row])
+    K = ring.domain
+    support = sorted(set().union(*(p.keys() for p in cleared)))
+    rows = [[p.get(mon, K.zero) for p in cleared] for mon in support]
 
     if mode.kind == TRANSCENDENTAL:
         # cheap generic-specialization pre-check over Q
-        from sympy import QQ
-        for q0 in (sp.Rational(9, 7), sp.Rational(5, 3)):
-            try:
-                spec_rows = [[QQ.from_sympy(K.to_sympy(e).subs(q, q0))
-                              for e in row] for row in rows]
-            except Exception:  # q0 hits a coefficient pole; try the next
+        for q0 in (QQ(9, 7), QQ(5, 3)):
+            spec_rows = _specialize(rows, q0)
+            if spec_rows is None:  # q0 hits a coefficient pole; try the next
                 continue
             if _solve_linear(spec_rows, len(basis), QQ) is None:
                 return None
@@ -332,12 +328,10 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     if sol is None:
         return None
     ng = len(monoms_g)
-    gnum = sum((K.to_sympy(sol[i]) * monoms_g[i] for i in range(ng)),
-               sp.Integer(0))
-    hnum = sum((K.to_sympy(sol[ng + i]) * monoms_h[i]
-                for i in range(len(monoms_h))), sp.Integer(0))
-    g = RatFunc.from_pair(gnum, den_g.expr, mode)
-    h = RatFunc.from_pair(hnum, den_h.expr, mode)
+    g = _over(sum((mu.mul_ground(c) for mu, c in zip(monoms_g, sol)),
+                  ring.zero), den_g)
+    h = _over(sum((mu.mul_ground(c) for mu, c in zip(monoms_h, sol[ng:])),
+                  ring.zero), den_h)
     if not verify_certificate(f, g, h, pair):  # pragma: no cover
         raise RatexactError("oracle certificate failed verification")
     return g, h

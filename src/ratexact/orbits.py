@@ -84,6 +84,14 @@ def sigma_equivalent(p: BiPoly, p2: BiPoly):
     return shift_equivalent(p, p2, y)
 
 
+def _multiplicity(t, n):
+    """The number of times the integer t > 1 divides n != 0 exactly."""
+    k = 0
+    while n % t == 0:
+        n, k = n // t, k + 1
+    return k
+
+
 def _solve_q_power(ratio, delta, mode):
     """Integer m with q^(m*delta) == ratio in the ground field, or None."""
     qv = mode.q_element()
@@ -95,20 +103,17 @@ def _solve_q_power(ratio, delta, mode):
             return None
         return e // delta
     if mode.kind == RATIONAL:
-        v = mode.value
-        r = sp.Rational(mode.coeff_domain().to_sympy(ratio))
-        if r == 0:
+        # q = a/b in lowest terms, |q| != 1: q^k has |a|^|k| over b^|k| for
+        # k > 0 and the reverse for k < 0, so k is a count of exact divisions
+        a, b = abs(qv.numerator), qv.denominator
+        n, d = abs(ratio.numerator), ratio.denominator
+        if not n:
             return None
-        import math
-        lr, lv = math.log(abs(r)), math.log(abs(v))
-        m_delta = 0 if lr == 0 else int(round(lr / lv))
-        if v ** m_delta != r or m_delta % delta:
-            # exponent may be negative with |v|<1 rounding issues; retry
-            for cand in range(m_delta - 2, m_delta + 3):
-                if cand % delta == 0 and v ** cand == r:
-                    return cand // delta
+        k = (_multiplicity(a, n) - _multiplicity(a, d) if a > 1
+             else _multiplicity(b, d) - _multiplicity(b, n))
+        if k % delta or qv ** k != ratio:
             return None
-        return m_delta // delta
+        return k // delta
     if mode.kind == ROOT_OF_UNITY:
         for m in range(mode.order):
             if qv ** (m * delta) == ratio:

@@ -2,6 +2,7 @@
 runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +178,12 @@ def test_bundled_corpus_deterministic(capsys):
     code2, out2, _ = run(capsys, "corpus", "corpus/cases.txt", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_bundled_corpus_matches_golden(capsys):
+    # the committed output of the bundled corpus: decisions, certificates
+    # and witnesses must stay byte for byte the same
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    code, out, _ = run(capsys, "corpus", str(corpus / "cases.txt"), "--json")
+    assert code == 0
+    assert out.encode() == (corpus / "expected.json").read_bytes()

@@ -169,6 +169,12 @@ def test_brute_force_agrees_on_examples():
         (RatFunc.from_pair(1, x * (x + 1) * y, P), SHIFT_X_DERIV_Y),
         (RatFunc.from_pair(1, x * y, T), QSHIFT_X_SHIFT_Y),
     ]
+    for mode, pairs in ((root_of_unity(3), (ROU_DERIV_Y, ROU_SHIFT_Y)),
+                        (root_of_unity(4), (ROU_DERIV_Y, ROU_SHIFT_Y)),
+                        (rational(sp.Rational(3, 2)), (QSHIFT_X_DERIV_Y,))):
+        for pair in pairs:
+            for den in (x * y, (x - 1) * y):
+                cases.append((RatFunc.from_pair(1, den, mode), pair))
     for f, pair in cases:
         found = brute_force_exact(f, pair)
         decided = decide_exact(f, pair)

@@ -2,9 +2,11 @@
 
 import sympy as sp
 
-from ratexact import (BiPoly, plain, rational, root_of_unity,
+from ratexact import (BiPoly, RatFunc, plain, rational, root_of_unity,
                       transcendental, shift_equivalent, sigma_equivalent,
-                      q_equivalent, joint_equivalent)
+                      q_equivalent, joint_equivalent, decide_exact,
+                      verify_certificate)
+from ratexact.deciders import QSHIFT_X_DERIV_Y
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -66,6 +68,18 @@ def test_q_equivalent_rational_value():
     b = BiPoly(8 * x + y, M)
     res = q_equivalent(a, b)
     assert res is not None and res[0] == 3
+    # q^k is solved exactly for a huge q, for |q| < 1, for q < 0 and for
+    # k < 0, and 1/((x-1)y) - 1/((q^k x-1)y) then telescopes
+    R = sp.Rational
+    for v, c, k in ((2 ** 512, 2 ** 1024, 2), (R(3, 2), R(8, 27), -3),
+                    (R(1, 2), 16, -4), (R(2, 3), R(32, 243), 5),
+                    (-2, -8, 3)):
+        M = rational(v)
+        assert q_equivalent(BiPoly(x - 1, M), BiPoly(c * x - 1, M))[0] == k
+        f = RatFunc(1 / ((x - 1) * y) - 1 / ((c * x - 1) * y), M)
+        d = decide_exact(f, QSHIFT_X_DERIV_Y)
+        assert d.exact
+        assert verify_certificate(f, *d.certificate, QSHIFT_X_DERIV_Y)
 
 
 def test_q_equivalent_root_of_unity_is_cyclic():
