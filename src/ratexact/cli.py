@@ -50,7 +50,7 @@ def _dump(obj):
 
 def _witness_json(w):
     mode = w.den.mode
-    out = {"kind": w.kind, "den": canonical_str(RatFunc(w.den.expr, mode))}
+    out = {"kind": w.kind, "den": canonical_str(RatFunc(w.den, mode))}
     if w.kind == "non_summable_residue":
         out["j"] = w.j
         out["residue"] = canonical_str(w.residue)
@@ -99,7 +99,7 @@ def _cmd_decide(args):
 
 def _terms_json(terms, mode):
     return [{"num": canonical_str(t.num),
-             "den": canonical_str(RatFunc(t.den.expr, mode)),
+             "den": canonical_str(RatFunc(t.den, mode)),
              "j": t.j} for t in terms]
 
 
@@ -167,7 +167,7 @@ def _cmd_factor(args):
         raise RatexactError("factor expects a polynomial")
     fac = factor_poly(f.num)
     payload = {"unit": canonical_str(RatFunc(fac.unit, mode)),
-               "factors": [[canonical_str(RatFunc(p.expr, mode)), e]
+               "factors": [[canonical_str(RatFunc(p, mode)), e]
                            for p, e in fac.factors],
                "qmode": mode.describe()}
     if args.json:

@@ -25,11 +25,16 @@ from dataclasses import dataclass
 from math import comb
 
 import sympy as sp
+from sympy import ZZ
+from sympy.polys.galoistools import gf_gcd
 
 from .errors import QModeMismatch, ZeroDenominator
 from .qmodes import TRANSCENDENTAL, x, y
 
 # -- ring-element helpers ---------------------------------------------
+
+# where the other generator is evaluated in the modular coprimality test
+_EVAL_POINT = 1000003
 
 
 def _from_expr(expr, ring):
@@ -56,7 +61,7 @@ def _shift(p, i, n):
     return p.ring.from_dict(acc)
 
 
-def _scale(p, i, c):
+def scale_gen(p, i, c):
     """p with generator i replaced by c * (generator i), c ground."""
     out = p.ring.zero
     powers = {}
@@ -106,20 +111,83 @@ def _normal(n, d):
     return n.quo_ground(u), d.quo_ground(u)
 
 
-def _reduce(n, d):
+def x_first(ring):
+    """The ring k[x, y] with the generators of the pair ring k[y, x]
+    exchanged."""
+    return ring.clone(symbols=ring.symbols[::-1])
+
+
+def swap_gens(p, ring):
+    """p with its two generators exchanged, as an element of ring; the
+    coefficients are copied as they are."""
+    return exponent_map(p, lambda m: (m[1], m[0]), ring)
+
+
+def _image(p, k, v, prime, r):
+    """Dense coefficients (highest first) in GF(prime)[t] of the image of
+    p in Q(zeta_m)[g0, g1] under g_k -> t, the other generator -> v and
+    zeta_m -> r; None when a coordinate is not prime-integral."""
+    out = {}
+    for mon, c in p.items():
+        a = 0
+        for b in c.to_list():  # power basis in zeta_m, highest first
+            if b.denominator % prime == 0:
+                return None
+            a = (a * r + b.numerator * pow(b.denominator, -1, prime)) % prime
+        e = mon[k]
+        out[e] = (out.get(e, 0) + a * pow(v, mon[1 - k], prime)) % prime
+    top = max(out)
+    dense = [out.get(e, 0) for e in range(top, -1, -1)]
+    while dense and not dense[0]:
+        dense.pop(0)
+    return dense
+
+
+def _coprime(n, d, mode):
+    """True only if n and d over Q(zeta_m) have no common factor.
+
+    Scaled to be integral at a prime ideal over p (Gauss's lemma), a
+    common factor h of degree e > 0 in one generator maps to a common
+    factor of degree e of the images in that generator over GF(p), once
+    the image of d keeps d's degree: the leading coefficient of h divides
+    d's.  So coprime images in both generators prove n and d coprime; any
+    other outcome (False) leaves the question to the exact gcd."""
+    prime, r = mode.residue_map()
+    for k in (0, 1):
+        dn = _image(d, k, _EVAL_POINT, prime, r)
+        nn = _image(n, k, _EVAL_POINT, prime, r)
+        if dn is None or nn is None or len(dn) - 1 != d.degree(k):
+            return False
+        if len(gf_gcd(dn, nn, prime, ZZ)) > 1:
+            return False
+    return True
+
+
+def cofactors(a, b, mode):
+    """(a/h, b/h) for h a gcd of a and b.  Over Q(zeta_m), where the gcd
+    is a slow subresultant PRS, a pair whose modular images are coprime
+    skips it."""
+    if a.ring.domain.is_Algebraic and _coprime(a, b, mode):
+        return a, b
+    return a.cofactors(b)[1:]
+
+
+def _reduce(n, d, mode):
     """Canonical form of the fraction n/d of pair-ring elements."""
     if not d:
         raise ZeroDenominator("denominator is zero")
     if not n:
         return n, d.ring.one
+    if d.is_ground:
+        return _normal(n, d)
     ring = n.ring
     if ring.domain.is_QQ:
         return _normal(*n.cancel(d))
     # over Q(zeta_m) the gcd is a subresultant PRS in the first generator,
     # which runs far faster with x first than with y first
-    xy = ring.clone(symbols=ring.symbols[::-1])
-    n, d = n.set_ring(xy).cancel(d.set_ring(xy))
-    return _normal(n.set_ring(ring), d.set_ring(ring))
+    xy = x_first(ring)
+    n, d = cofactors(swap_gens(n, xy), swap_gens(d, xy), mode)
+    return _normal(swap_gens(n, ring), swap_gens(d, ring))
 
 
 def _collect(P, ring):
@@ -307,7 +375,8 @@ class BiPoly:
                                 int(n)))
 
     def qshift_x(self, n):
-        return self._new(_scale(self.rep, 1, self.mode.q_element() ** int(n)))
+        return self._new(scale_gen(self.rep, 1,
+                                   self.mode.q_element() ** int(n)))
 
 
 # -- rational functions -----------------------------------------------
@@ -333,10 +402,10 @@ class RatFunc:
         elif isinstance(expr, int):
             n, d = _normal(ring(expr), ring.one)
         elif isinstance(expr, BiPoly):
-            n, d = _reduce(*to_pair(expr.rep, mode))
+            n, d = _reduce(*to_pair(expr.rep, mode), mode)
         else:
             num, den = sp.fraction(sp.together(sp.sympify(expr)))
-            n, d = _reduce(ring.from_expr(num), ring.from_expr(den))
+            n, d = _reduce(ring.from_expr(num), ring.from_expr(den), mode)
         self._init(n, d, mode)
 
     def _init(self, n, d, mode):
@@ -356,7 +425,7 @@ class RatFunc:
     @classmethod
     def from_ring(cls, n, d, mode):
         """Canonical rational function n/d for pair-ring elements n, d."""
-        return cls._new(*_reduce(n, d), mode)
+        return cls._new(*_reduce(n, d, mode), mode)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -512,8 +581,8 @@ class RatFunc:
         if mode.kind != TRANSCENDENTAL:
             # x -> c*x is an automorphism of k[y, x]: rescale, no gcd
             c = mode.q_element() ** n
-            return RatFunc._new(*_normal(_scale(self.numer, 1, c),
-                                         _scale(self.denom, 1, c)), mode)
+            return RatFunc._new(*_normal(scale_gen(self.numer, 1, c),
+                                         scale_gen(self.denom, 1, c)), mode)
         # Q[y, x, q]: x^b q^c -> x^b q^(c + n*b).  x -> q^n x is an
         # automorphism over Q(q), so only a power of q can become common to
         # both parts; dividing it out also clears negative powers of q.

@@ -13,13 +13,14 @@ from typing import Optional, Tuple
 
 from sympy import QQ
 
-from .core import BiPoly, RatFunc, exponent_map, to_pair
+from .core import BiPoly, RatFunc, to_pair
 from .errors import QModeMismatch, RatexactError
 from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x, y
 from .reductions import (PHI_QSHIFT, PHI_SHIFT, _lift_coefficientwise,
-                         abramov_reduce_y, hermite_reduce_y,
-                         phi_dy_reduced_form, tau_sigma_reduced_form,
-                         tau_reduced_root_of_unity)
+                         abramov_reduce_y, from_w, hermite_reduce_y,
+                         phi_dy_reduced_form, pull_back,
+                         tau_sigma_reduced_form, tau_reduced_root_of_unity,
+                         to_w)
 from .summation import abramov_summable_x, q_summable_x
 
 SHIFT_X_DERIV_Y = "shift_x:deriv_y"
@@ -116,29 +117,14 @@ def _decide_reduced_terms(f, terms, reduction_g, reduction_h, pair,
 
 def _invariant_to_w(c: RatFunc, m: int) -> RatFunc:
     """Rewrite a tau-invariant rational function as a function of w = x^m,
-    returned with x standing for w."""
-    if m == 1:
-        return c
+    returned with x standing for w.
+
+    The canonical pair of a tau-invariant function already lies in
+    k[y, x^m], and x^m -> w keeps the pair coprime and its lex scaling."""
     num, den = c.numer, c.denom
-    for i in range(1, m):
-        conj = c.den.qshift_x(i).rep
-        num, den = num * conj, den * conj
     if any(b % m for _, b in (*num.itermonoms(), *den.itermonoms())):
         raise RatexactError("trace is not a function of x^%d" % m)
-    return RatFunc.from_ring(exponent_map(num, lambda e: (e[0], e[1] // m)),
-                             exponent_map(den, lambda e: (e[0], e[1] // m)),
-                             c.mode)
-
-
-def _pull_back_rep(p, m):
-    return exponent_map(p, lambda e: (e[0], e[1] * m))
-
-
-def _pull_back(r: RatFunc, m: int) -> RatFunc:
-    if m == 1:
-        return r
-    return RatFunc.from_ring(_pull_back_rep(r.numer, m),
-                             _pull_back_rep(r.denom, m), r.mode)
+    return RatFunc._new(to_w(num, m), to_w(den, m), c.mode)
 
 
 def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
@@ -154,11 +140,10 @@ def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
         t = terms[0]
         return Decision(False,
                         witness=NonSummableResidue(
-                            BiPoly.from_rep(_pull_back_rep(t.den.rep, m),
-                                            mode), t.j,
-                            _pull_back(t.num, m)),
+                            BiPoly.from_rep(from_w(t.den.rep, m), mode), t.j,
+                            pull_back(t.num, m)),
                         pair=pair)
-    h = _pull_back(hw, m)
+    h = pull_back(hw, m)
     if not verify_certificate(f, g0, h, pair):  # pragma: no cover
         raise RatexactError("root-of-unity certificate failed verification")
     return Decision(True, certificate=(g0, h), pair=pair)

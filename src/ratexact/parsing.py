@@ -13,15 +13,22 @@ Errors carry 1-based line/column positions.
 
 import re
 
-import sympy as sp
-
 from .core import RatFunc
 from .errors import ExprSyntaxError
-from .qmodes import q, x, y
 
 _TOKEN_RE = re.compile(r"\d+|[xyq]|[-+*/^()]|\s+|.")
 
-_SYMBOLS = {"x": x, "y": y, "q": q}
+
+def _symbol(name, mode):
+    """x, y or q as a rational function, built from ring elements: a
+    generator of the pair ring, or the value of q as a ground element."""
+    ring = mode.pair_ring()
+    names = [str(s) for s in ring.symbols]
+    if name in names:
+        p = ring.gens[names.index(name)]
+    else:
+        p = ring.ground_new(mode.q_element())
+    return RatFunc.from_ring(p, ring.one, mode)
 
 
 def _tokenize(text):
@@ -120,15 +127,12 @@ class _Parser:
             return value
         if tok.isdigit():
             self.advance()
-            return RatFunc(sp.Integer(tok), self.mode)
-        if tok in _SYMBOLS:
-            if tok == "q":
-                if not self.mode.has_q:
-                    self.fail("q is not available in this q-mode")
-                self.advance()
-                return RatFunc(self.mode.q_value, self.mode)
+            return RatFunc(int(tok), self.mode)
+        if tok in ("x", "y", "q"):
+            if tok == "q" and not self.mode.has_q:
+                self.fail("q is not available in this q-mode")
             self.advance()
-            return RatFunc(_SYMBOLS[tok], self.mode)
+            return _symbol(tok, self.mode)
         self.fail("unexpected token %r" % tok)
 
 

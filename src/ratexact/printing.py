@@ -14,16 +14,12 @@ from sympy import QQ
 from .core import RatFunc
 from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, q, x, y
 
-_t = sp.Dummy("t")
-
-
-def _rewrite_root(expr, mode):
-    """Replace powers of zeta_m in coefficients by powers of q."""
-    dom = QQ.algebraic_field(mode.extension)
-    p = sp.Poly(expr, x, y, domain=dom)
+def _rewrite_root(p):
+    """The pair-ring element p over Q(zeta_m) as an expression in x and y
+    whose coefficients are read from their power basis in zeta_m, with
+    zeta_m written as q."""
     acc = sp.Integer(0)
-    for (i, j), coeff in p.terms():
-        anp = dom.from_sympy(coeff)
+    for (j, i), anp in p.items():
         cs = list(reversed(anp.to_list()))  # power-basis, ascending
         lifted = sum((sp.Rational(c) * q ** k for k, c in enumerate(cs)),
                      sp.Integer(0))
@@ -37,9 +33,10 @@ def _cleared_pair(f: RatFunc):
     in q (over Q(q)), primitive, with the denominator's graded-lex leading
     coefficient positive."""
     mode = f.mode
-    num, den = f.num.expr, f.den.expr
     if mode.kind == ROOT_OF_UNITY and mode.order > 2:
-        num, den = _rewrite_root(num, mode), _rewrite_root(den, mode)
+        num, den = _rewrite_root(f.numer), _rewrite_root(f.denom)
+    else:
+        num, den = f.num.expr, f.den.expr
     gens = (y, x, q) if mode.has_q else (y, x)
     if mode.kind == TRANSCENDENTAL:
         # clear rational-function-in-q coefficients to polynomials in q

@@ -167,6 +167,21 @@ class QMode:
         return self.coeff_domain().convert(self.q_value)
 
     @lru_cache(maxsize=None)
+    def residue_map(self):
+        """(p, r) for q = zeta_m: a prime p = 1 mod m and a primitive m-th
+        root of unity r mod p.  zeta_m -> r maps the elements of Q(zeta_m)
+        with p-integral coordinates onto GF(p) as a ring map, since r is
+        a root of the minimal polynomial Phi_m mod p."""
+        m = self.order
+        p = (2 ** 31 // m) * m + 1
+        while not sp.isprime(p):
+            p += m
+        for a in range(2, p):
+            r = pow(a, (p - 1) // m, p)
+            if all(pow(r, m // f, p) != 1 for f in sp.primefactors(m)):
+                return p, r
+
+    @lru_cache(maxsize=None)
     def poly_ring(self):
         """Sparse ring k[y, x] (lex, y > x) holding BiPoly values."""
         return PolyRing((y, x), self.coeff_domain(), lex)

@@ -7,11 +7,10 @@ exact recomposition; nothing here is numeric.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-import sympy as sp
-
-from .core import BiPoly, RatFunc
+from .core import (BiPoly, RatFunc, cofactors, exponent_map, scale_gen,
+                   swap_gens, x_first)
 from .errors import QModeMismatch, RatexactError
 from .orbits import joint_equivalent, q_equivalent, shift_equivalent
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
@@ -362,28 +361,95 @@ def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
     return ReducedForm(g + g_extra, h, terms, FLAVOR_TQ_SY)
 
 
-def trace_xm(f: RatFunc, m: int) -> RatFunc:
-    """Sum of the m q-shift conjugates of f when q is a primitive m-th
-    root of unity; the result is tau-invariant."""
+def _tau_split(f: RatFunc, m: int):
+    """(L, P0, P1): a tau-invariant common denominator L of the m
+    conjugates tau^i(f) and the numerator P0 + P1 = N * (L / D) of
+    f = N/D over L, where P0 holds the monomials whose x-degree is
+    divisible by m and P1 the rest.
+
+    tau^i(P0 + P1) / L is then the i-th conjugate, so the conjugates are
+    summed and averaged monomial by monomial, without a gcd."""
     mode = f.mode
     if mode.kind != ROOT_OF_UNITY or mode.order != m:
         raise QModeMismatch("trace requires QMode root_of_unity(%d)" % m)
-    acc = f
+    ring = f.denom.ring
+    xy = x_first(ring)
+    z = mode.q_element()
+    D = swap_gens(f.denom, xy)
+    # L = lcm of the conjugates tau^i(D): one gcd against each in turn
+    L = D
     for i in range(1, m):
-        acc = acc + f.qshift_x(i)
-    return acc
+        L = L * cofactors(L, scale_gen(D, 0, z ** i), mode)[1]
+    # tau permutes the conjugates, so tau(L) = zeta^s * L, and every
+    # x-degree of L is s mod m; s != 0 only when x divides D
+    s = L.LM[0] % m
+    if s:
+        L = L * xy.gens[0] ** (m - s)
+    P = swap_gens(f.numer, xy) * L.exquo(D)
+    P0, P1 = xy.zero, xy.zero
+    for mon, c in P.items():
+        (P1 if mon[0] % m else P0)[mon] = c
+    return (swap_gens(L, ring), swap_gens(P0, ring), swap_gens(P1, ring))
+
+
+def to_w(p, m):
+    """p in k[y, x^m] as a polynomial in w = x^m, with x standing for w."""
+    return exponent_map(p, lambda e: (e[0], e[1] // m))
+
+
+def from_w(p, m):
+    """p with w = x^m put back for x."""
+    return exponent_map(p, lambda e: (e[0], e[1] * m))
+
+
+def pull_back(r: RatFunc, m: int) -> RatFunc:
+    """r with w = x^m put back for x.  x^m -> w keeps a pair coprime and
+    its lex scaling both ways, so a canonical pair stays canonical."""
+    return RatFunc._new(from_w(r.numer, m), from_w(r.denom, m), r.mode)
+
+
+def _invariant(P, L, m, mode):
+    """The canonical P/L for P and L in k[y, x^m], with the gcd run in
+    k[y, w] on 1/m of the x-degree."""
+    return pull_back(RatFunc.from_ring(to_w(P, m), to_w(L, m), mode), m)
+
+
+def trace_xm(f: RatFunc, m: int) -> RatFunc:
+    """Sum of the m q-shift conjugates of f when q is a primitive m-th
+    root of unity; the result is tau-invariant.
+
+    Over the invariant denominator L of ``_tau_split`` the conjugates of
+    a monomial x^b sum to m x^b when m divides b and to 0 otherwise, so
+    the trace is m * P0 / L."""
+    L, P0, _ = _tau_split(f, m)
+    return _invariant(P0.mul_ground(m), L, m, f.mode)
 
 
 def tau_reduced_root_of_unity(f: RatFunc, m: int):
     """(g, c) with f = tau(g) - g + c, c tau-invariant (= trace/m); f is
     tau-summable iff c = 0.  The certificate is the explicit averaging
     g = (1/m) sum_{i=1}^{m-1} i * tau^i(f - c), re-verified before return.
-    """
-    c = trace_xm(f, m) / m
-    f0 = f - c
-    g = RatFunc(0, f.mode)
-    for i in range(1, m):
-        g = g + f0.qshift_x(i) * sp.Rational(i, m)
-    if not (g.qshift_x(1) - g + c == f):  # pragma: no cover - construction
+
+    With f = (P0 + P1)/L as in ``_tau_split``, c = P0/L.  For z^m = 1,
+    z != 1, (1/m) sum_{i=1}^{m-1} i z^i = 1/(z - 1), so the average
+    divides each monomial x^b of P1 by zeta^(b mod m) - 1."""
+    mode = f.mode
+    L, P0, P1 = _tau_split(f, m)
+    dom = L.ring.domain
+    z = mode.q_element()
+    inv = [None] + [dom.quo(dom.one, z ** r - dom.one) for r in range(1, m)]
+    G = L.ring.zero
+    for mon, a in P1.items():
+        G[mon] = a * inv[mon[1] % m]
+    c = _invariant(P0, L, m, mode)
+    g = RatFunc.from_ring(G, L, mode)
+    # tau(g) - g + c == f, cross-multiplied on the canonical pairs
+    gn, gd = g.numer, g.denom
+    cn, cd = c.numer, c.denom
+    fn, fd = f.numer, f.denom
+    tgd = scale_gen(gd, 1, z)
+    if not ((scale_gen(gn, 1, z) * gd - gn * tgd) * cd * fd
+            + cn * tgd * gd * fd
+            == fn * tgd * gd * cd):  # pragma: no cover - construction
         raise RatexactError("root-of-unity reduction failed to recompose")
     return g, c

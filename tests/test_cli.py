@@ -9,6 +9,9 @@ import pytest
 from ratexact.cli import main, run_corpus_line
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -65,6 +68,27 @@ def test_decide_root_of_unity(capsys):
                             "--json")
     assert code == 0
     assert out["exact"] is True
+
+
+@pytest.mark.parametrize("m", [5, 8])
+@pytest.mark.parametrize("token", ["dqx-dy", "dqx-sy"])
+def test_decide_root_of_unity_degree_four_fields(capsys, m, token):
+    # Q(zeta_5) and Q(zeta_8) have degree 4; exact answers re-verify from
+    # the printed certificate, with q read back as zeta_m
+    from ratexact import parse_ratfunc, root_of_unity
+    from ratexact.deciders import operator_pair, verify_certificate
+    mode = root_of_unity(m)
+    for expr, exact in (("x/y", True), ("1/(x+y)", False),
+                        ("(q*x+y)/(q*x+y+1)-(x+y)/(x+y+1)", True)):
+        code, out, _ = run_json(capsys, "decide", "--pair", token,
+                                "--root-of-unity", str(m), "--expr", expr,
+                                "--json")
+        assert code == 0
+        assert out["exact"] is exact
+        if exact:
+            f, g, h = (parse_ratfunc(s, mode)
+                       for s in (expr, out["g"], out["h"]))
+            assert verify_certificate(f, g, h, operator_pair(token, mode))
 
 
 def test_syntax_error_exit_2(capsys):
@@ -174,8 +198,9 @@ def test_run_corpus_line_witness_mismatch():
 
 
 def test_bundled_corpus_deterministic(capsys):
-    code1, out1, _ = run(capsys, "corpus", "corpus/cases.txt", "--json")
-    code2, out2, _ = run(capsys, "corpus", "corpus/cases.txt", "--json")
+    cases = str(CORPUS / "cases.txt")
+    code1, out1, _ = run(capsys, "corpus", cases, "--json")
+    code2, out2, _ = run(capsys, "corpus", cases, "--json")
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -183,7 +208,6 @@ def test_bundled_corpus_deterministic(capsys):
 def test_bundled_corpus_matches_golden(capsys):
     # the committed output of the bundled corpus: decisions, certificates
     # and witnesses must stay byte for byte the same
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
-    code, out, _ = run(capsys, "corpus", str(corpus / "cases.txt"), "--json")
+    code, out, _ = run(capsys, "corpus", str(CORPUS / "cases.txt"), "--json")
     assert code == 0
-    assert out.encode() == (corpus / "expected.json").read_bytes()
+    assert out.encode() == (CORPUS / "expected.json").read_bytes()

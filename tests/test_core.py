@@ -1,12 +1,14 @@
 """Canonical forms, arithmetic, and operator actions."""
 
+import random
+
 import sympy as sp
 import pytest
 
 from ratexact import (BiPoly, RatFunc, ZeroDenominator, QModeMismatch,
                       apply, normalize, plain, rational, root_of_unity,
                       transcendental, DeltaX, DeltaQX, DeltaY, DerivY)
-from ratexact.qmodes import q, x, y
+from ratexact.qmodes import ROOT_OF_UNITY, q, x, y
 
 P = plain()
 T = transcendental()
@@ -203,3 +205,54 @@ def test_operator_results_are_canonical_fuzz():
                 for n in (1, -2):
                     assert f.qshift_x(n) == \
                         RatFunc(e.subs(x, qv ** n * x), mode)
+
+
+def test_ground_denominator_matches_gcd_path():
+    # a ground denominator skips the gcd; the pair must be the canonical
+    # one that cancelling a non-ground common factor reaches
+    for mode in (P, T, rational("3/2"), root_of_unity(2), root_of_unity(3),
+                 root_of_unity(4)):
+        ring = mode.pair_ring()
+        dom = ring.domain
+        Y, X = ring.gens[:2]
+        grounds = [dom.convert(-4), dom.convert(sp.Rational(2, 3))]
+        if mode.kind == ROOT_OF_UNITY:
+            z = mode.q_element()
+            grounds += [z, z + dom.convert(2)]
+        n = 3 * X ** 2 * Y - 5 * X + 7
+        if mode.kind == ROOT_OF_UNITY:
+            n = n * ring.ground_new(mode.q_element()) + Y
+        u = X + Y + 1
+        for c in grounds:
+            d = ring.ground_new(c)
+            fast = RatFunc.from_ring(n, d, mode)
+            slow = RatFunc.from_ring(n * u, d * u, mode)
+            assert (fast.numer, fast.denom) == (slow.numer, slow.denom)
+
+
+def test_modular_coprimality_never_hides_a_common_factor():
+    # over Q(zeta_m) a pair skips the gcd when its images mod p are
+    # coprime; a shared factor must still cancel, to the gcd's pair
+    from ratexact.core import _EVAL_POINT, _coprime
+    rng = random.Random(23)
+    for m in (3, 4, 5):
+        mode = root_of_unity(m)
+        ring = mode.pair_ring()
+        Y, X = ring.gens
+        z = ring.ground_new(mode.q_element())
+
+        def rand():
+            return sum((rng.randint(-3, 3) * z ** rng.randint(0, m - 1)
+                        * X ** i * Y ** j
+                        for i in range(2) for j in range(2)), ring.one)
+        # a factor whose images at the evaluation point are constant
+        v = _EVAL_POINT
+        vanishing = (X - v) * (Y - v) + 1
+        for k in range(7):
+            a, b, c = rand(), rand(), rand() if k else vanishing
+            if c.is_ground or b.is_ground:
+                continue
+            assert not _coprime(a * c, b * c, mode)
+            f = RatFunc.from_ring(a * c, b * c, mode)
+            assert f == RatFunc.from_ring(a, b, mode)
+            assert f.numer.gcd(f.denom).is_ground

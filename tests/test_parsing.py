@@ -1,5 +1,7 @@
 """Expression grammar: round trips, precedence, and error positions."""
 
+from pathlib import Path
+
 import pytest
 import sympy as sp
 
@@ -102,7 +104,8 @@ def test_round_trip_fuzz():
 
 def test_round_trip_corpus_expressions():
     from ratexact.cli import _parse_qmode_token
-    with open("corpus/cases.txt") as fh:
+    cases = Path(__file__).resolve().parent.parent / "corpus" / "cases.txt"
+    with open(cases) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -166,3 +166,33 @@ def test_summability_matches_vanishing_residues():
         all_zero = all(
             residue_sigma(swapped, t.den, t.j).is_zero for t in dec.terms)
         assert res.summable == all_zero
+
+
+def test_trace_and_average_match_their_definition():
+    # the gcd-free trace and averaging certificate against plain sums of
+    # conjugates: trace = sum_i tau^i(f), c = trace/m and
+    # g = (1/m) sum_{i=1}^{m-1} i * tau^i(f - c)
+    from ratexact.reductions import trace_xm
+    for m in (1, 2, 3, 4, 6):
+        M = root_of_unity(m)
+        shapes = [(x, y),                                  # x | D below
+                  (1, x * (x + 1)),                        # x | D
+                  (x + y ** 2, (x * y - 1) ** 2),          # repeated factor
+                  (x ** m, y * (x ** m - 1)),              # tau-invariant
+                  (3, 1)]                                  # constant
+        for num, den in shapes:
+            f = RatFunc.from_pair(num, den, M)
+            trace = RatFunc(0, M)
+            weighted = RatFunc(0, M)
+            for i in range(m):
+                trace = trace + f.qshift_x(i)
+                weighted = weighted + f.qshift_x(i) * i
+            assert trace_xm(f, m) == trace
+            g, c = tau_reduced_root_of_unity(f, m)
+            assert c == trace / m
+            # tau fixes c, so m*g = weighted - m(m-1)/2 * c; compared
+            # cross-multiplied, because the difference cancels a gcd of
+            # degree 2m that takes minutes over Q(zeta_6)
+            assert ((g.numer * c.denom * (2 * m)
+                     + c.numer * g.denom * (m * (m - 1))) * weighted.denom
+                    == weighted.numer * g.denom * c.denom * 2)
