@@ -33,7 +33,7 @@ from .qmodes import TRANSCENDENTAL, x, y
 
 # -- ring-element helpers ---------------------------------------------
 
-# where the other generator is evaluated in the modular coprimality test
+# where the other generators are evaluated in the modular coprimality test
 _EVAL_POINT = 1000003
 
 
@@ -123,19 +123,50 @@ def swap_gens(p, ring):
     return exponent_map(p, lambda m: (m[1], m[0]), ring)
 
 
-def _image(p, k, v, prime, r):
-    """Dense coefficients (highest first) in GF(prime)[t] of the image of
-    p in Q(zeta_m)[g0, g1] under g_k -> t, the other generator -> v and
-    zeta_m -> r; None when a coordinate is not prime-integral."""
-    out = {}
-    for mon, c in p.items():
+# the prime of the modular coprimality test over Q: 2, 3 and 5 have
+# multiplicative order above 10^9 modulo it, so the images of distinct
+# q-translates c(q^t x) of a polynomial stay distinct for small rational q
+# (modulo 2^31 - 1, 2^t x - 1 and 2^(t+31) x - 1 have the same image)
+_PRIME_Q = 2147483587
+
+
+def _residue_map(p, mode):
+    """(prime, lift): lift(c) is the image in GF(prime) of a coefficient c
+    of p, or None when c is not prime-integral.  Over Q(zeta_m), zeta_m
+    goes to a root of the cyclotomic polynomial mod prime."""
+    if p.ring.domain.is_QQ:
+        prime = _PRIME_Q
+
+        def lift(c):
+            if c.denominator % prime == 0:
+                return None
+            return c.numerator * pow(c.denominator, -1, prime) % prime
+        return prime, lift
+    prime, r = mode.residue_map()
+
+    def lift(c):
         a = 0
         for b in c.to_list():  # power basis in zeta_m, highest first
             if b.denominator % prime == 0:
                 return None
             a = (a * r + b.numerator * pow(b.denominator, -1, prime)) % prime
+        return a
+    return prime, lift
+
+
+def _image(p, k, prime, lift):
+    """Dense coefficients (highest first) in GF(prime)[t] of the image of
+    p under g_k -> t, every other generator -> _EVAL_POINT and each
+    coefficient c -> lift(c); None when a coefficient is not
+    prime-integral."""
+    out = {}
+    for mon, c in p.items():
+        a = lift(c)
+        if a is None:
+            return None
         e = mon[k]
-        out[e] = (out.get(e, 0) + a * pow(v, mon[1 - k], prime)) % prime
+        a = a * pow(_EVAL_POINT, sum(mon) - e, prime)
+        out[e] = (out.get(e, 0) + a) % prime
     top = max(out)
     dense = [out.get(e, 0) for e in range(top, -1, -1)]
     while dense and not dense[0]:
@@ -144,18 +175,18 @@ def _image(p, k, v, prime, r):
 
 
 def _coprime(n, d, mode):
-    """True only if n and d over Q(zeta_m) have no common factor.
+    """True only if n and d have no common factor.
 
     Scaled to be integral at a prime ideal over p (Gauss's lemma), a
     common factor h of degree e > 0 in one generator maps to a common
     factor of degree e of the images in that generator over GF(p), once
     the image of d keeps d's degree: the leading coefficient of h divides
-    d's.  So coprime images in both generators prove n and d coprime; any
+    d's.  So coprime images in every generator prove n and d coprime; any
     other outcome (False) leaves the question to the exact gcd."""
-    prime, r = mode.residue_map()
-    for k in (0, 1):
-        dn = _image(d, k, _EVAL_POINT, prime, r)
-        nn = _image(n, k, _EVAL_POINT, prime, r)
+    prime, lift = _residue_map(d, mode)
+    for k in range(d.ring.ngens):
+        dn = _image(d, k, prime, lift)
+        nn = _image(n, k, prime, lift)
         if dn is None or nn is None or len(dn) - 1 != d.degree(k):
             return False
         if len(gf_gcd(dn, nn, prime, ZZ)) > 1:
@@ -164,30 +195,35 @@ def _coprime(n, d, mode):
 
 
 def cofactors(a, b, mode):
-    """(a/h, b/h) for h a gcd of a and b.  Over Q(zeta_m), where the gcd
-    is a slow subresultant PRS, a pair whose modular images are coprime
-    skips it."""
-    if a.ring.domain.is_Algebraic and _coprime(a, b, mode):
+    """(a/h, b/h) for h a gcd of a and b.  A pair with a ground member,
+    or whose modular images are coprime, skips the gcd: on a reduced sum
+    or product that is the common case, and the gcd's cost grows with
+    the size of the coefficients (heuristic gcd over Q) or explodes with
+    the degree (subresultant PRS over Q(zeta_m))."""
+    if a.is_ground or b.is_ground or _coprime(a, b, mode):
         return a, b
     return a.cofactors(b)[1:]
+
+
+def _cancelled(n, d, mode):
+    """(n/h, d/h) for h a gcd of the pair-ring elements n and d, d != 0."""
+    if not n:
+        return n, d.ring.one
+    ring = n.ring
+    if not ring.domain.is_Algebraic:
+        return cofactors(n, d, mode)
+    # over Q(zeta_m) the gcd is a subresultant PRS in the first generator,
+    # which runs far faster with x first than with y first
+    xy = x_first(ring)
+    n, d = cofactors(swap_gens(n, xy), swap_gens(d, xy), mode)
+    return swap_gens(n, ring), swap_gens(d, ring)
 
 
 def _reduce(n, d, mode):
     """Canonical form of the fraction n/d of pair-ring elements."""
     if not d:
         raise ZeroDenominator("denominator is zero")
-    if not n:
-        return n, d.ring.one
-    if d.is_ground:
-        return _normal(n, d)
-    ring = n.ring
-    if ring.domain.is_QQ:
-        return _normal(*n.cancel(d))
-    # over Q(zeta_m) the gcd is a subresultant PRS in the first generator,
-    # which runs far faster with x first than with y first
-    xy = x_first(ring)
-    n, d = cofactors(swap_gens(n, xy), swap_gens(d, xy), mode)
-    return _normal(swap_gens(n, ring), swap_gens(d, ring))
+    return _normal(*_cancelled(n, d, mode))
 
 
 def _collect(P, ring):
@@ -512,10 +548,19 @@ class RatFunc:
     def __neg__(self):
         return RatFunc._new(-self.numer, self.denom, self.mode)
 
+    def _times(self, n2, d2):
+        """self * n2/d2 for a coprime pair n2, d2.  Both pairs are
+        coprime, so the gcds run crosswise, of self's numerator with d2
+        and of n2 with self's denominator, and none on the products; a
+        ground factor needs none at all."""
+        mode = self.mode
+        n1, d2 = _cancelled(self.numer, d2, mode)
+        n2, d1 = _cancelled(n2, self.denom, mode)
+        return RatFunc._new(*_normal(n1 * n2, d1 * d2), mode)
+
     def __mul__(self, other):
         other = self._lift(other)
-        return self._reduced(self.numer * other.numer,
-                             self.denom * other.denom)
+        return self._times(other.numer, other.denom)
 
     __rmul__ = __mul__
 
@@ -523,8 +568,7 @@ class RatFunc:
         other = self._lift(other)
         if other.is_zero:
             raise ZeroDenominator("division by zero")
-        return self._reduced(self.numer * other.denom,
-                             self.denom * other.numer)
+        return self._times(other.denom, other.numer)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -608,6 +652,52 @@ class RatFunc:
 
     def delta_y(self):
         return self.shift_y(1) - self
+
+
+def tree_sum(terms, mode):
+    """The canonical sum of the RatFuncs in terms.
+
+    The pairs are added in a balanced tree as they are, (a*d + c*b, b*d),
+    or (a + c, b) when the denominators are equal, and the total is
+    reduced once at the end, so that no partial sum pays for a gcd."""
+    terms = [t for t in terms if not t.is_zero]
+    if len(terms) < 2:
+        return terms[0] if terms else RatFunc(0, mode)
+    flat = _integral(*(p for t in terms for p in (t.numer, t.denom)))
+    pairs = list(zip(flat[::2], flat[1::2]))
+    while len(pairs) > 1:
+        paired = []
+        for (a, b), (c, d) in zip(pairs[::2], pairs[1::2]):
+            paired.append((a + c, b) if b == d else (a * d + c * b, b * d))
+        if len(pairs) % 2:
+            paired.append(pairs[-1])
+        pairs = paired
+    ring = terms[0].denom.ring
+    n, d = pairs[0]
+    return RatFunc.from_ring(n.set_ring(ring), d.set_ring(ring), mode)
+
+
+def _integral(*polys):
+    """The polys over Z when they lie over Q with integer coefficients,
+    as canonical pairs do there, else as they are.  A product over Z
+    skips the gcd that normalizes each product of two rationals."""
+    ring = polys[0].ring
+    if not ring.domain.is_QQ or any(c.denominator != 1 for p in polys
+                                    for c in p.itercoeffs()):
+        return polys
+    zring = ring.clone(domain=ZZ)
+    return [zring.from_dict({m: c.numerator for m, c in p.items()})
+            for p in polys]
+
+
+def is_difference(g, phi_g, r):
+    """True iff phi_g - g == r, checked on the pairs by the polynomial
+    identity (pn*gd - gn*pd)*rd == rn*pd*gd, with phi_g = pn/pd.  Every
+    denominator is nonzero, so the identity is exact, and it needs no
+    gcd."""
+    gn, gd, pn, pd, rn, rd = _integral(g.numer, g.denom, phi_g.numer,
+                                       phi_g.denom, r.numer, r.denom)
+    return (pn * gd - gn * pd) * rd == rn * pd * gd
 
 
 # -- operator symbols and the generic apply ---------------------------

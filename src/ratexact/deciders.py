@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from sympy import QQ
 
-from .core import BiPoly, RatFunc, to_pair
+from .core import BiPoly, RatFunc, is_difference, to_pair, tree_sum
 from .errors import QModeMismatch, RatexactError
 from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x, y
 from .reductions import (PHI_QSHIFT, PHI_SHIFT, _lift_coefficientwise,
@@ -82,24 +82,31 @@ class Decision:
     pair: Optional[str] = None
 
 
-def verify_certificate(f: RatFunc, g: RatFunc, h: RatFunc, pair) -> bool:
-    """True iff dx(g) + dy(h) == f by exact rational arithmetic."""
-    if pair == SHIFT_X_DERIV_Y:
-        lhs = (g.shift_x(1) - g) + h.deriv_y()
-    elif pair in (QSHIFT_X_DERIV_Y, ROU_DERIV_Y):
-        lhs = (g.qshift_x(1) - g) + h.deriv_y()
-    elif pair in (QSHIFT_X_SHIFT_Y, ROU_SHIFT_Y):
-        lhs = (g.qshift_x(1) - g) + (h.shift_y(1) - h)
-    else:
+def pair_operators(pair):
+    """(phi, dy) for a pair: the x-operator phi, whose difference
+    phi(g) - g certifies g, and the y-operator dy applied to h, read off
+    the operator kinds the pair's name joins."""
+    if pair not in _PAIRS:
         raise ValueError("unknown pair %r" % (pair,))
-    return lhs == f
+    x_kind, y_kind = pair.split(":")
+    phi = RatFunc.shift_x if x_kind == "shift_x" else RatFunc.qshift_x
+    dy = RatFunc.deriv_y if y_kind == "deriv_y" else RatFunc.delta_y
+    return phi, dy
+
+
+def verify_certificate(f: RatFunc, g: RatFunc, h: RatFunc, pair) -> bool:
+    """True iff dx(g) + dy(h) == f by exact rational arithmetic: with
+    r = f - dy(h) in canonical form, phi(g) - g == r is checked by cross
+    multiplication (``is_difference``)."""
+    phi, dy = pair_operators(pair)
+    return is_difference(g, phi(g), f - dy(h))
 
 
 def _decide_reduced_terms(f, terms, reduction_g, reduction_h, pair,
                           summable, mode):
     """Shared residual inspection for the (phi, Dy) and (tau, sigma_y)
     deciders."""
-    g = reduction_g
+    parts = [reduction_g]
     for t in terms:
         if not t.den.free_of(x):
             return Decision(False, witness=MixedDenominator(t.den),
@@ -109,7 +116,8 @@ def _decide_reduced_terms(f, terms, reduction_g, reduction_h, pair,
             return Decision(False,
                             witness=NonSummableResidue(t.den, t.j, t.num),
                             pair=pair)
-        g = g + b / RatFunc(t.den ** t.j, mode)
+        parts.append(b / RatFunc(t.den ** t.j, mode))
+    g = tree_sum(parts, mode)
     if not verify_certificate(f, g, reduction_h, pair):  # pragma: no cover
         raise RatexactError("assembled certificate failed verification")
     return Decision(True, certificate=(g, reduction_h), pair=pair)
@@ -240,21 +248,15 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     from .factorization import factor as factor_poly
     from .orbits import q_equivalent, shift_equivalent
     mode = f.mode
+    phi, dy = pair_operators(pair)
+    dx = lambda r: phi(r) - r
     if pair == SHIFT_X_DERIV_Y:
         equiv_x = lambda a, b: shift_equivalent(a, b, x)
         op_x = lambda p, t: p.shift(x, t)
-        dx = lambda r: r.shift_x(1) - r
     else:
         equiv_x = q_equivalent
         op_x = lambda p, t: p.qshift_x(t)
-        dx = lambda r: r.qshift_x(1) - r
-    deriv_flavor = pair in (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y, ROU_DERIV_Y)
-    if deriv_flavor:
-        dy = lambda r: r.deriv_y()
-    elif pair in (QSHIFT_X_SHIFT_Y, ROU_SHIFT_Y):
-        dy = lambda r: r.shift_y(1) - r
-    else:
-        raise ValueError("unknown pair %r" % (pair,))
+    deriv_flavor = dy is RatFunc.deriv_y
 
     den_g = BiPoly(1, mode)
     den_h = BiPoly(1, mode)

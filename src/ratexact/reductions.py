@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .core import (BiPoly, RatFunc, cofactors, exponent_map, scale_gen,
-                   swap_gens, x_first)
+                   swap_gens, tree_sum, x_first)
 from .errors import QModeMismatch, RatexactError
 from .orbits import joint_equivalent, q_equivalent, shift_equivalent
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
@@ -36,10 +36,7 @@ class ReducedForm:
     flavor: str
 
     def residual(self) -> RatFunc:
-        acc = RatFunc(0, self.g.mode)
-        for t in self.terms:
-            acc = acc + t.value()
-        return acc
+        return tree_sum([t.value() for t in self.terms], self.g.mode)
 
     def recompose(self) -> RatFunc:
         if self.flavor == FLAVOR_SX_DY:
@@ -132,23 +129,33 @@ def abramov_reduce_y(f: RatFunc):
     mode = f.mode
     dec = sigma_decomposition(f)
     h = discrete_antiderivative(dec.poly_part)
-    buckets = []  # (den, j, num) with nums accumulated
-
-    def bucket_add(d, j, a):
-        for i, (d2, j2, a2) in enumerate(buckets):
-            if j2 == j and d2 == d:
-                buckets[i] = (d2, j2, a2 + a)
-                return
-        buckets.append((d, j, a))
-
+    residues = []
+    parts = [h]
     for t in dec.terms:
         a, rep, j, ell = t.num, t.den, t.j, t.ell
         denj = RatFunc(rep ** j, mode)
-        for k in range(ell):
-            h = h + a.shift_y(k - ell) / denj.shift_y(k)
-        bucket_add(rep, j, a.shift_y(-ell))
-    terms = tuple(PfdTerm(a, d, j) for d, j, a in buckets if not a.is_zero)
-    return h, terms
+        parts.extend(a.shift_y(k - ell) / denj.shift_y(k)
+                     for k in range(ell))
+        residues.append((a.shift_y(-ell), rep, j))
+    return tree_sum(parts, mode), _collect_terms(residues, mode)
+
+
+def _collect_terms(entries, mode):
+    """PfdTerms a/d^j from the (a, d, j) in entries, the numerators of
+    equal (d, j) summed by one tree sum each, in order of first
+    appearance; a zero sum is dropped."""
+    keys, nums = [], []
+    for a, d, j in entries:
+        i = next((i for i, (d2, j2) in enumerate(keys)
+                  if j2 == j and d2 == d), None)
+        if i is None:
+            keys.append((d, j))
+            nums.append([a])
+        else:
+            nums[i].append(a)
+    terms = (PfdTerm(tree_sum(ns, mode), d, j)
+             for (d, j), ns in zip(keys, nums))
+    return tuple(t for t in terms if not t.num.is_zero)
 
 
 def _op_pow(value, kind, n):
@@ -185,14 +192,12 @@ def orbit_collapse(a: RatFunc, d: BiPoly, j: int, m: int, n: int,
         raise ValueError("offsets must be nonnegative (re-base the orbit)")
     mode = a.mode
     dj = RatFunc(d ** j, mode)
-    u = RatFunc(0, mode)
-    for t in range(m):
-        u = u + _op_pow(a, phi1, t - m) / _op_pow(_op_pow(dj, phi2, n),
-                                                  phi1, t)
+    djn = _op_pow(dj, phi2, n)
+    u = tree_sum([_op_pow(a, phi1, t - m) / _op_pow(djn, phi1, t)
+                  for t in range(m)], mode)
     am = _op_pow(a, phi1, -m)
-    v = RatFunc(0, mode)
-    for k in range(n):
-        v = v + _op_pow(am, phi2, k - n) / _op_pow(dj, phi2, k)
+    v = tree_sum([_op_pow(am, phi2, k - n) / _op_pow(dj, phi2, k)
+                  for k in range(n)], mode)
     collapsed = PfdTerm(_op_pow(am, phi2, -n), d, j)
     return u, v, collapsed
 
@@ -232,13 +237,17 @@ def _lift_coefficientwise(a: RatFunc, summable, mode):
     summability certificate through each y-coefficient; None when some
     coefficient is not summable."""
     P = a.y_poly()
-    b = RatFunc(0, mode)
+    Y = mode.pair_ring().gens[0]
+    parts = []
     for (j,), c in P.items():
         res = summable(RatFunc.from_y(P.ring.ground_new(c), mode))
         if not res.summable:
             return None
-        b = b + res.certificate * RatFunc(y ** j, mode)
-    return b
+        # the certificate is free of y, so times y^j its pair stays
+        # coprime and keeps its scaling
+        b = res.certificate
+        parts.append(RatFunc._new(b.numer * Y ** j, b.denom, mode))
+    return tree_sum(parts, mode)
 
 
 def _absorb_summable(terms, phi, mode):
@@ -249,7 +258,7 @@ def _absorb_summable(terms, phi, mode):
     moving it out makes the residual vanish on every pure difference."""
     from .summation import abramov_summable_x, q_summable_x
     summable = abramov_summable_x if phi == PHI_SHIFT else q_summable_x
-    g_extra = RatFunc(0, mode)
+    extra = []
     rest = []
     for t in terms:
         b = None
@@ -258,8 +267,8 @@ def _absorb_summable(terms, phi, mode):
         if b is None:
             rest.append(t)
         else:
-            g_extra = g_extra + b / RatFunc(t.den ** t.j, mode)
-    return g_extra, tuple(rest)
+            extra.append(b / RatFunc(t.den ** t.j, mode))
+    return extra, tuple(rest)
 
 
 def phi_dy_reduced_form(f: RatFunc, phi: str = PHI_SHIFT) -> ReducedForm:
@@ -279,16 +288,8 @@ def phi_dy_reduced_form(f: RatFunc, phi: str = PHI_SHIFT) -> ReducedForm:
         if all(not (t.den == d) for d in dens):
             dens.append(t.den)
     groups = _x_orbit_groups(dens, phi, mode)
-    g = RatFunc(0, mode)
-    buckets = []
-
-    def bucket_add(d, a):
-        for i, (d2, a2) in enumerate(buckets):
-            if d2 == d:
-                buckets[i] = (d2, a2 + a)
-                return
-        buckets.append((d, a))
-
+    parts = []
+    residues = []
     for rep, members in groups:
         for t in simple:
             match = next(((off, sc) for d, off, sc in members
@@ -298,11 +299,10 @@ def phi_dy_reduced_form(f: RatFunc, phi: str = PHI_SHIFT) -> ReducedForm:
             off, sc = match
             A = t.num * RatFunc(sc, mode)
             u, _, collapsed = orbit_collapse(A, rep, 1, off, 0, phi, "shift_y")
-            g = g + u
-            bucket_add(rep, collapsed.num)
-    terms = tuple(PfdTerm(a, d, 1) for d, a in buckets if not a.is_zero)
-    g_extra, terms = _absorb_summable(terms, phi, mode)
-    return ReducedForm(g + g_extra, h, terms, flavor)
+            parts.append(u)
+            residues.append((collapsed.num, rep, 1))
+    extra, terms = _absorb_summable(_collect_terms(residues, mode), phi, mode)
+    return ReducedForm(tree_sum(parts + extra, mode), h, terms, flavor)
 
 
 def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
@@ -329,16 +329,7 @@ def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
         if not placed:
             groups.append({"rep": d,
                            "members": [(d, joint_equivalent(d, d))]})
-    g = RatFunc(0, mode)
-    buckets = []
-
-    def bucket_add(d, j, a):
-        for i, (d2, j2, a2) in enumerate(buckets):
-            if j2 == j and d2 == d:
-                buckets[i] = (d2, j2, a2 + a)
-                return
-        buckets.append((d, j, a))
-
+    g_parts, h_parts, residues = [], [h], []
     for grp in groups:
         m0 = min(w.m for _, w in grp["members"])
         n0 = min(w.n for _, w in grp["members"])
@@ -353,12 +344,13 @@ def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
             A = t.num * RatFunc(w.scale ** t.j, mode)
             u, v, collapsed = orbit_collapse(A, rep, t.j, w.m, w.n,
                                              PHI_QSHIFT, "shift_y")
-            g = g + u
-            h = h + v
-            bucket_add(rep, t.j, collapsed.num)
-    terms = tuple(PfdTerm(a, d, j) for d, j, a in buckets if not a.is_zero)
-    g_extra, terms = _absorb_summable(terms, PHI_QSHIFT, mode)
-    return ReducedForm(g + g_extra, h, terms, FLAVOR_TQ_SY)
+            g_parts.append(u)
+            h_parts.append(v)
+            residues.append((collapsed.num, rep, t.j))
+    extra, terms = _absorb_summable(_collect_terms(residues, mode),
+                                    PHI_QSHIFT, mode)
+    return ReducedForm(tree_sum(g_parts + extra, mode),
+                       tree_sum(h_parts, mode), terms, FLAVOR_TQ_SY)
 
 
 def _tau_split(f: RatFunc, m: int):

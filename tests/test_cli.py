@@ -91,6 +91,23 @@ def test_decide_root_of_unity_degree_four_fields(capsys, m, token):
             assert verify_certificate(f, g, h, operator_pair(token, mode))
 
 
+@pytest.mark.parametrize("a, k", [(1, 40), (7, 40), (1, 56)])
+def test_decide_q_orbit_distance_certificate_reverifies(capsys, a, k):
+    # a q-orbit of length k with a scalar factor a: the printed
+    # certificate, read back, re-verifies (no time bound here; the size of
+    # a once changed the cost of a decision threefold)
+    from ratexact import parse_ratfunc, rational
+    from ratexact.deciders import operator_pair, verify_certificate
+    mode = rational(2)
+    expr = "%d/((x-1)*y) - %d/((q^%d*x-1)*y)" % (a, a, k)
+    code, out, _ = run_json(capsys, "decide", "--pair", "dqx-dy", "--q", "2",
+                            "--expr", expr, "--json")
+    assert code == 0
+    assert out["exact"] is True
+    f, g, h = (parse_ratfunc(s, mode) for s in (expr, out["g"], out["h"]))
+    assert verify_certificate(f, g, h, operator_pair("dqx-dy", mode))
+
+
 def test_syntax_error_exit_2(capsys):
     code, _, err = run(capsys, "decide", "--pair", "dx-dy",
                        "--expr", "1/(x+")

@@ -1,14 +1,17 @@
 """Canonical forms, arithmetic, and operator actions."""
 
 import random
+from functools import reduce
 
 import sympy as sp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratexact import (BiPoly, RatFunc, ZeroDenominator, QModeMismatch,
                       apply, normalize, plain, rational, root_of_unity,
                       transcendental, DeltaX, DeltaQX, DeltaY, DerivY)
-from ratexact.qmodes import ROOT_OF_UNITY, q, x, y
+from ratexact.core import tree_sum
+from ratexact.qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, q, x, y
 
 P = plain()
 T = transcendental()
@@ -256,3 +259,52 @@ def test_modular_coprimality_never_hides_a_common_factor():
             f = RatFunc.from_ring(a * c, b * c, mode)
             assert f == RatFunc.from_ring(a, b, mode)
             assert f.numer.gcd(f.denom).is_ground
+
+
+# -- the tree sum ------------------------------------------------------
+
+_TREE_MODES = {"none": P, "3/2": rational("3/2"), "symbolic": T,
+               "zeta3": root_of_unity(3)}
+
+
+def _tree_factors(mode):
+    """Denominator factors in mode's pair ring; a list of fractions
+    drawn from them shares factors between denominators."""
+    ring = mode.pair_ring()
+    Y, X = ring.gens[:2]
+    if mode.kind == TRANSCENDENTAL:
+        c = ring.gens[2]
+    elif mode.has_q:
+        c = ring.ground_new(mode.q_element())
+    else:
+        c = ring(2)
+    return ring, [X, Y, X + 1, X * Y - 1, c * X + Y + 1, X - c]
+
+
+_fraction = st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                      st.lists(st.integers(0, 5), min_size=1, max_size=2))
+
+
+@pytest.mark.parametrize("token", sorted(_TREE_MODES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(fractions=st.lists(_fraction, max_size=4), cancel=st.booleans())
+@example(fractions=[((1, 2, 0), [0, 1]), ((0, 1, 1), [1, 3]),
+                    ((2, 0, -1), [0, 0]), ((-1, 1, 0), [3])], cancel=False)
+def test_tree_sum_equals_left_to_right_sum(token, fractions, cancel):
+    mode = _TREE_MODES[token]
+    ring, factors = _tree_factors(mode)
+    Y, X = ring.gens[:2]
+    terms = []
+    for (a, b, c), idx in fractions:
+        num = ring(a) + ring(b) * X + ring(c) * X * Y
+        den = ring.one
+        for i in idx:
+            den = den * factors[i]
+        terms.append(RatFunc.from_ring(num, den, mode))
+    if cancel:  # the same terms negated, in reverse order: the sum is 0
+        terms += [-t for t in reversed(terms)]
+    total = tree_sum(terms, mode)
+    expected = reduce(lambda s, t: s + t, terms, RatFunc(0, mode))
+    assert (total.numer, total.denom) == (expected.numer, expected.denom)
+    if cancel:
+        assert total.is_zero

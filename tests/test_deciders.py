@@ -63,10 +63,31 @@ def test_shift_deriv_exact_example():
     assert verify_certificate(f, *d.certificate, SHIFT_X_DERIV_Y)
 
 
+def _bumped(r, k):
+    """r with the coefficient of its k-th numerator monomial raised by 1."""
+    ring = r.numer.ring
+    mon = sorted(r.numer.itermonoms())[k % len(r.numer)]
+    return RatFunc.from_ring(r.numer + ring({mon: 1}), r.denom, r.mode)
+
+
 def test_wrong_certificate_rejected():
     f = RatFunc.from_pair(1, x * (x + 1) * y, P)
     bad = RatFunc.from_pair(1, x, P)
     assert not verify_certificate(f, bad, RatFunc(0, P), SHIFT_X_DERIV_Y)
+    # on every pair, a certificate with a nonzero h verifies; with one
+    # coefficient changed in g or in h, it does not
+    for pair, mode in ((SHIFT_X_DERIV_Y, P),
+                       (QSHIFT_X_DERIV_Y, rational(2)), (QSHIFT_X_DERIV_Y, T),
+                       (QSHIFT_X_SHIFT_Y, rational(2)), (QSHIFT_X_SHIFT_Y, T),
+                       (ROU_DERIV_Y, root_of_unity(3)),
+                       (ROU_SHIFT_Y, root_of_unity(3))):
+        g = RatFunc.from_pair(3 * x + y - 2, x * y + 1, mode)
+        h = RatFunc.from_pair(2 * x - 1, x + y + 1, mode)
+        f = _apply(pair, g, h)
+        assert verify_certificate(f, g, h, pair)
+        for k in range(3):
+            assert not verify_certificate(f, _bumped(g, k), h, pair)
+            assert not verify_certificate(f, g, _bumped(h, k), pair)
 
 
 # -- invariance properties -------------------------------------------
