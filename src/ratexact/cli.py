@@ -15,12 +15,13 @@ from .core import RatFunc
 from .deciders import decide_exact, operator_pair, verify_certificate
 from .errors import RatexactError
 from .factorization import factor as factor_poly
+from .orbits import QSHIFT_X, SHIFT_X
 from .parsing import parse_ratfunc
 from .printing import canonical_str
 from .qmodes import plain, rational, root_of_unity, transcendental
-from .reductions import (PHI_QSHIFT, PHI_SHIFT, abramov_reduce_y,
-                         hermite_reduce_y, phi_dy_reduced_form,
-                         tau_sigma_reduced_form, tau_reduced_root_of_unity)
+from .reductions import (abramov_reduce_y, hermite_reduce_y,
+                         phi_dy_reduced_form, tau_sigma_reduced_form,
+                         tau_reduced_root_of_unity)
 from .residues import residue_dy, residue_sigma
 
 
@@ -58,7 +59,8 @@ def _witness_json(w):
 
 
 def _decision_json(dec, mode, timing_ms=None):
-    out = {"exact": dec.exact, "pair": dec.pair, "qmode": mode.describe()}
+    out = {"exact": dec.exact, "pair": dec.pair.name,
+           "qmode": mode.describe()}
     if dec.exact:
         g, h = dec.certificate
         out["g"] = canonical_str(g)
@@ -113,7 +115,7 @@ def _cmd_reduce(args):
         h, terms = abramov_reduce_y(f)
         payload = {"h": canonical_str(h), "terms": _terms_json(terms, mode)}
     elif args.flavor == "phi-dy":
-        phi = PHI_QSHIFT if mode.has_q else PHI_SHIFT
+        phi = QSHIFT_X if mode.has_q else SHIFT_X
         rf = phi_dy_reduced_form(f, phi)
         payload = {"g": canonical_str(rf.g), "h": canonical_str(rf.h),
                    "terms": _terms_json(rf.terms, mode)}

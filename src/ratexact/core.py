@@ -1,5 +1,5 @@
 """Polynomials in k[x,y], rational functions in k(x,y), and the operator
-actions (shift, q-shift, y-shift, d/dy and their difference forms).
+actions (shift, q-shift, y-shift and d/dy).
 
 Values are immutable and stored as sparse sympy ring elements
 (``sympy.polys.rings.PolyElement``), for every ground field k = Q, Q(q)
@@ -21,7 +21,6 @@ storage: ``.expr`` and ``as_expr()`` render exactly the stored canonical
 pair, expanded in x and y.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 import sympy as sp
@@ -372,12 +371,6 @@ class BiPoly:
     def __repr__(self):
         return "BiPoly(%s)" % self.expr
 
-    def divides(self, other):
-        """Exact divisibility in k[x, y]."""
-        if self.is_zero:
-            return other.is_zero
-        return not other.rep.rem(self.rep)
-
     def exact_div(self, other):
         """self / other, which must divide exactly."""
         q, r = self.rep.div(self._lift(other))
@@ -644,15 +637,6 @@ class RatFunc:
         return self._reduced(n.diff(n.ring.gens[0]) * d
                              - n * d.diff(d.ring.gens[0]), d ** 2)
 
-    def delta_x(self):
-        return self.shift_x(1) - self
-
-    def delta_qx(self):
-        return self.qshift_x(1) - self
-
-    def delta_y(self):
-        return self.shift_y(1) - self
-
 
 def tree_sum(terms, mode):
     """The canonical sum of the RatFuncs in terms.
@@ -698,65 +682,3 @@ def is_difference(g, phi_g, r):
     gn, gd, pn, pd, rn, rd = _integral(g.numer, g.denom, phi_g.numer,
                                        phi_g.denom, r.numer, r.denom)
     return (pn * gd - gn * pd) * rd == rn * pd * gd
-
-
-# -- operator symbols and the generic apply ---------------------------
-
-@dataclass(frozen=True)
-class OperatorSymbol:
-    """One of the shift/derivative operators acting on k(x, y)."""
-
-    kind: str  # shift_x | qshift_x | shift_y | deriv_y | delta_x | delta_qx | delta_y
-    power: int = 1
-
-    def __str__(self):
-        if self.kind in ("shift_x", "qshift_x", "shift_y"):
-            return "%s^%d" % (self.kind, self.power)
-        return self.kind
-
-
-def ShiftX(i=1):
-    return OperatorSymbol("shift_x", i)
-
-
-def QShiftX(i=1):
-    return OperatorSymbol("qshift_x", i)
-
-
-def ShiftY(j=1):
-    return OperatorSymbol("shift_y", j)
-
-
-DerivY = OperatorSymbol("deriv_y")
-DeltaX = OperatorSymbol("delta_x")
-DeltaQX = OperatorSymbol("delta_qx")
-DeltaY = OperatorSymbol("delta_y")
-
-
-def apply(f, op):
-    """Apply an operator symbol to a rational function."""
-    if op.kind in ("qshift_x", "delta_qx") and not f.mode.has_q:
-        raise QModeMismatch("q-shift requires a q-mode with a value for q")
-    if op.kind == "shift_x":
-        return f.shift_x(op.power)
-    if op.kind == "qshift_x":
-        return f.qshift_x(op.power)
-    if op.kind == "shift_y":
-        return f.shift_y(op.power)
-    if op.kind == "deriv_y":
-        return f.deriv_y()
-    if op.kind == "delta_x":
-        return f.delta_x()
-    if op.kind == "delta_qx":
-        return f.delta_qx()
-    if op.kind == "delta_y":
-        return f.delta_y()
-    raise ValueError("unknown operator %r" % (op,))
-
-
-def normalize(num, den, mode=None):
-    """Canonical reduced rational function from a numerator/denominator
-    pair of BiPolys (or raw expressions plus an explicit mode)."""
-    if mode is None:
-        mode = num.mode if isinstance(num, BiPoly) else den.mode
-    return RatFunc.from_pair(num, den, mode)

@@ -13,24 +13,14 @@ from typing import Optional, Tuple
 
 from sympy import QQ
 
-from .core import BiPoly, RatFunc, is_difference, to_pair, tree_sum
+from .core import BiPoly, RatFunc, is_difference, to_pair
 from .errors import QModeMismatch, RatexactError
-from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x, y
-from .reductions import (PHI_QSHIFT, PHI_SHIFT, _lift_coefficientwise,
-                         abramov_reduce_y, from_w, hermite_reduce_y,
-                         phi_dy_reduced_form, pull_back,
+from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
+                     ROU_SHIFT_Y, SHIFT_X_DERIV_Y, Pair)
+from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x
+from .reductions import (from_w, phi_dy_reduced_form, pull_back, reduce_y,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity,
                          to_w)
-from .summation import abramov_summable_x, q_summable_x
-
-SHIFT_X_DERIV_Y = "shift_x:deriv_y"
-QSHIFT_X_DERIV_Y = "qshift_x:deriv_y"
-QSHIFT_X_SHIFT_Y = "qshift_x:shift_y"
-ROU_DERIV_Y = "rou:deriv_y"
-ROU_SHIFT_Y = "rou:shift_y"
-
-_PAIRS = (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
-          ROU_DERIV_Y, ROU_SHIFT_Y)
 
 
 def operator_pair(token, mode):
@@ -51,6 +41,12 @@ def operator_pair(token, mode):
             raise QModeMismatch("pair dqx-sy requires a q")
         return ROU_SHIFT_Y if rou else QSHIFT_X_SHIFT_Y
     raise ValueError("unknown pair %r" % (token,))
+
+
+def _checked(pair):
+    if not isinstance(pair, Pair):
+        raise ValueError("unknown pair %r" % (pair,))
+    return pair
 
 
 @dataclass(frozen=True)
@@ -79,48 +75,34 @@ class Decision:
     exact: bool
     certificate: Optional[Tuple[RatFunc, RatFunc]] = None
     witness: Optional[object] = None
-    pair: Optional[str] = None
-
-
-def pair_operators(pair):
-    """(phi, dy) for a pair: the x-operator phi, whose difference
-    phi(g) - g certifies g, and the y-operator dy applied to h, read off
-    the operator kinds the pair's name joins."""
-    if pair not in _PAIRS:
-        raise ValueError("unknown pair %r" % (pair,))
-    x_kind, y_kind = pair.split(":")
-    phi = RatFunc.shift_x if x_kind == "shift_x" else RatFunc.qshift_x
-    dy = RatFunc.deriv_y if y_kind == "deriv_y" else RatFunc.delta_y
-    return phi, dy
+    pair: Optional[Pair] = None
 
 
 def verify_certificate(f: RatFunc, g: RatFunc, h: RatFunc, pair) -> bool:
     """True iff dx(g) + dy(h) == f by exact rational arithmetic: with
     r = f - dy(h) in canonical form, phi(g) - g == r is checked by cross
     multiplication (``is_difference``)."""
-    phi, dy = pair_operators(pair)
-    return is_difference(g, phi(g), f - dy(h))
+    pair = _checked(pair)
+    return is_difference(g, pair.dx.pow(g, 1), f - pair.dy.delta(h))
 
 
-def _decide_reduced_terms(f, terms, reduction_g, reduction_h, pair,
-                          summable, mode):
-    """Shared residual inspection for the (phi, Dy) and (tau, sigma_y)
-    deciders."""
-    parts = [reduction_g]
-    for t in terms:
-        if not t.den.free_of(x):
-            return Decision(False, witness=MixedDenominator(t.den),
-                            pair=pair)
-        b = _lift_coefficientwise(t.num, summable, mode)
-        if b is None:
-            return Decision(False,
-                            witness=NonSummableResidue(t.den, t.j, t.num),
-                            pair=pair)
-        parts.append(b / RatFunc(t.den ** t.j, mode))
-    g = tree_sum(parts, mode)
-    if not verify_certificate(f, g, reduction_h, pair):  # pragma: no cover
+def _decide_reduced_form(f, pair):
+    """The decision read off the pair's reduced form.  Every residual term
+    over an x-free denominator whose numerator is summable in x has been
+    moved into g, so f is exact iff no residual term is left; the first
+    one is the witness."""
+    if pair.dy.kind == DERIV:
+        rf = phi_dy_reduced_form(f, pair.dx)
+    else:
+        rf = tau_sigma_reduced_form(f)
+    if rf.terms:
+        t = rf.terms[0]
+        witness = (NonSummableResidue(t.den, t.j, t.num) if t.den.free_of(x)
+                   else MixedDenominator(t.den))
+        return Decision(False, witness=witness, pair=pair)
+    if not verify_certificate(f, rf.g, rf.h, pair):  # pragma: no cover
         raise RatexactError("assembled certificate failed verification")
-    return Decision(True, certificate=(g, reduction_h), pair=pair)
+    return Decision(True, certificate=(rf.g, rf.h), pair=pair)
 
 
 def _invariant_to_w(c: RatFunc, m: int) -> RatFunc:
@@ -139,11 +121,7 @@ def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
     mode = f.mode
     m = mode.order
     g0, c = tau_reduced_root_of_unity(f, m)
-    cw = _invariant_to_w(c, m)
-    if pair == ROU_DERIV_Y:
-        hw, terms = hermite_reduce_y(cw)
-    else:
-        hw, terms = abramov_reduce_y(cw)
+    hw, terms = reduce_y(_invariant_to_w(c, m), pair.dy)
     if terms:
         t = terms[0]
         return Decision(False,
@@ -160,54 +138,35 @@ def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
 def decide_exact(f: RatFunc, pair) -> Decision:
     """Decide exactness of f for the given operator pair, returning a
     verified certificate or a non-exactness witness."""
-    mode = f.mode
-    if pair not in _PAIRS:
-        raise ValueError("unknown pair %r" % (pair,))
-    if pair == SHIFT_X_DERIV_Y:
-        rf = phi_dy_reduced_form(f, PHI_SHIFT)
-        return _decide_reduced_terms(f, rf.terms, rf.g, rf.h, pair,
-                                     abramov_summable_x, mode)
-    if pair == QSHIFT_X_DERIV_Y:
-        rf = phi_dy_reduced_form(f, PHI_QSHIFT)
-        return _decide_reduced_terms(f, rf.terms, rf.g, rf.h, pair,
-                                     q_summable_x, mode)
-    if pair == QSHIFT_X_SHIFT_Y:
-        rf = tau_sigma_reduced_form(f)
-        return _decide_reduced_terms(f, rf.terms, rf.g, rf.h, pair,
-                                     q_summable_x, mode)
-    if mode.kind != ROOT_OF_UNITY:
+    if _checked(pair) not in (ROU_DERIV_Y, ROU_SHIFT_Y):
+        return _decide_reduced_form(f, pair)
+    if f.mode.kind != ROOT_OF_UNITY:
         raise QModeMismatch("root-of-unity pair requires q = zeta_m")
     return _decide_root_of_unity(f, pair)
 
 
 # -- bounded brute-force oracle ---------------------------------------
 
-def _hull_candidates(factors, equiv, translate, R):
+def _hull_candidates(factors, op, R):
     """Candidate denominator factors for one certificate component.
 
-    Factors of the input denominator are grouped into operator orbits;
-    for each orbit every translate between the smallest and largest
-    occurring offset (clipped to radius R) is a candidate, at one above
-    the orbit's largest multiplicity.  A certificate whose poles stay
-    within radius R of the input's can always be rewritten with poles in
-    this hull, since applying the operator to any pole produces both the
-    pole and its immediate translate.
+    Factors of the input denominator are grouped into orbits of the
+    operator op; for each orbit every translate between the smallest and
+    largest occurring offset (clipped to radius R around the orbit's first
+    factor) is a candidate, at one above the orbit's largest multiplicity.
+    A certificate whose poles stay within radius R of the input's can
+    always be rewritten with poles in this hull, since applying the
+    operator to any pole produces both the pole and its immediate
+    translate.
     """
-    groups = []
-    for p, e in factors:
-        for grp in groups:
-            w = equiv(grp[0], p)
-            if w is not None:
-                grp[1].add(w[0])
-                grp[2] = max(grp[2], e)
-                break
-        else:
-            groups.append([p, {0}, e])
+    mult = dict(factors)
     out = []
-    for rep, offs, top in groups:
-        lo, hi = max(min(offs), -R), min(max(offs), R)
-        for t in range(lo, hi + 1):
-            _, cand = translate(rep, t).canonical()
+    for rep, members in op.orbits(mult):
+        offsets = [off for off, _ in members.values()]
+        first = offsets[0]
+        top = max(mult[p] for p in members)
+        for t in range(max(0, first - R), min(max(offsets), first + R) + 1):
+            _, cand = op.pow(rep, t).canonical()
             out.append((cand, top + 1))
     return out
 
@@ -246,31 +205,20 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     theorem-based deciders; returns a verified (g, h) or None.
     """
     from .factorization import factor as factor_poly
-    from .orbits import q_equivalent, shift_equivalent
     mode = f.mode
-    phi, dy = pair_operators(pair)
-    dx = lambda r: phi(r) - r
-    if pair == SHIFT_X_DERIV_Y:
-        equiv_x = lambda a, b: shift_equivalent(a, b, x)
-        op_x = lambda p, t: p.shift(x, t)
-    else:
-        equiv_x = q_equivalent
-        op_x = lambda p, t: p.qshift_x(t)
-    deriv_flavor = dy is RatFunc.deriv_y
+    dx, dy = _checked(pair).dx, pair.dy
 
     den_g = BiPoly(1, mode)
     den_h = BiPoly(1, mode)
     if not f.den == BiPoly(1, mode):
         factors = factor_poly(f.den).factors
-        for cand, mult in _hull_candidates(factors, equiv_x, op_x, R):
+        for cand, mult in _hull_candidates(factors, dx, R):
             den_g = den_g * cand ** mult
-        if deriv_flavor:
+        if dy.kind == DERIV:
             for p, e in factors:
                 den_h = den_h * p ** (e + 1)
         else:
-            for cand, mult in _hull_candidates(
-                    factors, lambda a, b: shift_equivalent(a, b, y),
-                    lambda p, t: p.shift(y, t), R):
+            for cand, mult in _hull_candidates(factors, dy, R):
                 den_h = den_h * cand ** mult
 
     ring = mode.poly_ring()
@@ -286,8 +234,8 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
         return RatFunc.from_ring(n * e, c * d, mode)
 
     monoms_g, monoms_h = _monoms(den_g), _monoms(den_h)
-    basis = [dx(_over(mu, den_g)) for mu in monoms_g]
-    basis += [dy(_over(mu, den_h)) for mu in monoms_h]
+    basis = [dx.delta(_over(mu, den_g)) for mu in monoms_g]
+    basis += [dy.delta(_over(mu, den_h)) for mu in monoms_h]
 
     # clear a common denominator across the basis and f; the entries
     # share a few denominators, so the lcm takes each distinct one once

@@ -29,11 +29,3 @@ class ExprSyntaxError(RatexactError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
         self.line = line
         self.col = col
-
-
-class FactorizationIncomplete(RatexactError):
-    """Irreducible factorization could not be completed.
-
-    Carries the offending polynomial in ``args[1]`` when available so the
-    caller may retry with pre-factored input.
-    """

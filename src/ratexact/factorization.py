@@ -1,22 +1,18 @@
-"""Content/primitive splitting, squarefree decomposition, and irreducible
-factorization of polynomials in k[x, y].
+"""Irreducible factorization of polynomials in k[x, y].
 
 Factorization is delegated to sympy's multivariate machinery, which is
 complete over Q, over Q(q) (by treating q as an extra ring variable, whose
 pure-q factors are units), and over Q(zeta_m) via an algebraic extension.
-The ``FactorizationIncomplete`` escape hatch is kept for API stability and
-raised only if the backend fails unexpectedly.
+A backend failure is reported as a RatexactError.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import List, Tuple
+from typing import Tuple
 
 import sympy as sp
 
 from .core import BiPoly, free_of_gen, to_pair
-from .errors import FactorizationIncomplete, ZeroPolynomial
-from .qmodes import x, y
+from .errors import RatexactError, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ def factor(p: BiPoly) -> Factorization:
     try:
         const, raw = P.factor_list()
     except (sp.PolynomialError, sp.polys.polyerrors.DomainError) as exc:
-        raise FactorizationIncomplete(str(exc), p) from exc
+        raise RatexactError(str(exc)) from exc
     unit = P.ring.domain.to_sympy(const) / common.as_expr()
     factors = []
     for f, mult in raw:
@@ -64,49 +60,3 @@ def factor(p: BiPoly) -> Factorization:
         unit *= u ** mult
         factors.append((prim, int(mult)))
     return Factorization(sp.cancel(unit), _sort_factors(factors))
-
-
-def content_primitive(p: BiPoly, var) -> Tuple[BiPoly, BiPoly]:
-    """Split p = content * primitive with the content free of var."""
-    if p.is_zero:
-        raise ZeroPolynomial("content of the zero polynomial")
-    mode = p.mode
-    coeffs = sp.Poly(p.expr, var).all_coeffs()
-    ext = mode.extension
-    if ext is not None:
-        g = reduce(lambda a, b: sp.gcd(a, b, extension=ext), coeffs)
-    else:
-        g = reduce(sp.gcd, coeffs)
-    prim_raw = p.exact_div(BiPoly(g, mode))
-    _, prim = prim_raw.canonical()
-    if prim.is_zero:  # pragma: no cover
-        raise ZeroPolynomial("primitive part vanished")
-    content = p.exact_div(prim)
-    return content, prim
-
-
-def squarefree(p: BiPoly, var) -> List[Tuple[BiPoly, int]]:
-    """Squarefree decomposition with respect to var over the field of the
-    remaining symbols. The var-free content, when nontrivial, appears as a
-    multiplicity-1 entry so that the product recomposes exactly."""
-    if p.is_zero:
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    mode = p.mode
-    other = x if var == y else y
-    dom = mode.field_with(other)
-    poly = sp.Poly(p.expr, var, domain=dom)
-    _, raw = poly.sqf_list()
-    out = []
-    rest = p
-    for f, mult in raw:
-        # sqf over the fraction field can yield monic factors with
-        # denominators in the other variable; clear them first
-        cleared = sp.fraction(sp.together(f.as_expr()))[0]
-        u, prim = BiPoly(cleared, mode).canonical()
-        if prim.degree(var) == 0 and prim.expr == 1:
-            continue
-        out.append((prim, int(mult)))
-        rest = BiPoly(sp.cancel(rest.expr / prim.expr ** mult), mode)
-    if rest.expr != 1:
-        out.insert(0, (rest, 1))
-    return out

@@ -1,4 +1,5 @@
-"""Shift-, q-shift-, and joint-orbit equivalence of polynomials.
+"""The operators and operator pairs, shift-, q-shift- and joint-orbit
+equivalence of polynomials, and the grouping of polynomials into orbits.
 
 Two polynomials are equivalent when an integer power of the relevant
 operator maps one onto a scalar multiple of the other.  Every candidate
@@ -23,11 +24,6 @@ class OrbitWitness:
     m: int
     n: int
     scale: sp.Expr
-
-
-def is_free_of_x(p: BiPoly) -> bool:
-    """True iff the primitive representative does not involve x."""
-    return p.free_of(x)
 
 
 def _ground_ratio(a, b):
@@ -194,3 +190,105 @@ def joint_equivalent(p: BiPoly, p2: BiPoly):
     if p.qshift_x(m).shift(y, n).rep == p2.rep.mul_ground(s):
         return OrbitWitness(m, n, p.rep.ring.domain.to_sympy(s))
     return None  # pragma: no cover - candidate always verifies or None earlier
+
+
+# -- operators, operator pairs and orbit grouping ---------------------
+
+SHIFT, QSHIFT, DERIV = "shift", "qshift", "deriv"
+
+
+@dataclass(frozen=True)
+class Operator:
+    """An operator on k(x, y): the shift var -> var + 1 (kind SHIFT), the
+    q-shift x -> q*x (QSHIFT) or d/dy (DERIV)."""
+
+    kind: str
+    var: sp.Symbol
+
+    def pow(self, value, n):
+        """The n-th power of this shift or q-shift applied to a RatFunc or
+        a BiPoly."""
+        if self.kind == DERIV:
+            raise ValueError("d/dy has no powers")
+        if n == 0:
+            return value
+        if self.kind == QSHIFT:
+            return value.qshift_x(n)
+        if isinstance(value, BiPoly):
+            return value.shift(self.var, n)
+        return value.shift_x(n) if self.var == x else value.shift_y(n)
+
+    def delta(self, f):
+        """d/dy(f), or phi(f) - f for this shift or q-shift phi."""
+        if self.kind == DERIV:
+            return f.deriv_y()
+        return self.pow(f, 1) - f
+
+    def equivalent(self, p, p2):
+        """(n, scale) with self^n(p) == scale * p2, or None."""
+        if self.kind == QSHIFT:
+            return q_equivalent(p, p2)
+        return shift_equivalent(p, p2, self.var)
+
+    def orbits(self, dens):
+        """group_orbits of dens under the powers of this operator."""
+        return group_orbits(dens, self.equivalent,
+                            lambda p, offsets: self.pow(p, min(offsets)))
+
+    def summable(self, f):
+        """The summability test of this x-operator on f, a rational
+        function of x: a SummabilityResult."""
+        from . import summation
+        if self.kind == QSHIFT:
+            return summation.q_summable_x(f)
+        return summation.abramov_summable_x(f)
+
+
+SHIFT_X = Operator(SHIFT, x)
+QSHIFT_X = Operator(QSHIFT, x)
+DERIV_Y = Operator(DERIV, y)
+SHIFT_Y = Operator(SHIFT, y)
+
+
+@dataclass(frozen=True)
+class Pair:
+    """An operator pair: f is exact when f = dx.delta(g) + dy.delta(h).
+    name is the pair's name in machine-readable output."""
+
+    dx: Operator
+    dy: Operator
+    name: str
+
+
+SHIFT_X_DERIV_Y = Pair(SHIFT_X, DERIV_Y, "shift_x:deriv_y")
+QSHIFT_X_DERIV_Y = Pair(QSHIFT_X, DERIV_Y, "qshift_x:deriv_y")
+QSHIFT_X_SHIFT_Y = Pair(QSHIFT_X, SHIFT_Y, "qshift_x:shift_y")
+# the q-shift pairs with q a root of unity, decided by the trace
+ROU_DERIV_Y = Pair(QSHIFT_X, DERIV_Y, "rou:deriv_y")
+ROU_SHIFT_Y = Pair(QSHIFT_X, SHIFT_Y, "rou:shift_y")
+
+
+def group_orbits(dens, equiv, rebase):
+    """Partition the distinct polynomials of dens into orbits, in order of
+    first appearance.
+
+    equiv(p, p2) is (offset, scale) with op^offset(p) == scale * p2, or
+    None off the orbit of p; rebase(p, offsets) is the translate of p by
+    the smallest of the offsets.  Each orbit is re-based on the canonical
+    form of that translate, so that no offset is negative.  Returns
+    [(rep, {den: (offset, scale)})] with op^offset(rep) == scale * den."""
+    groups = []  # (members, their offsets from the first member)
+    for d in dict.fromkeys(dens):
+        for members, offsets in groups:
+            w = equiv(members[0], d)
+            if w is not None:
+                members.append(d)
+                offsets.append(w[0])
+                break
+        else:
+            groups.append(([d], [equiv(d, d)[0]]))
+    out = []
+    for members, offsets in groups:
+        _, rep = rebase(members[0], offsets).canonical()
+        out.append((rep, {d: equiv(rep, d) for d in members}))
+    return out

@@ -204,16 +204,6 @@ class QMode:
         pr = self.pair_ring()
         return PolyRing((y,), pr.domain.frac_field(*pr.symbols[1:]), lex)
 
-    @lru_cache(maxsize=None)
-    def field_with(self, *gens):
-        """sympy domain for k(gens), e.g. k(x) for coefficients of y-polys."""
-        if self.kind == TRANSCENDENTAL:
-            return QQ.frac_field(q, *gens)
-        ext = self.extension
-        if ext is not None:
-            return QQ.algebraic_field(ext).frac_field(*gens)
-        return QQ.frac_field(*gens)
-
     def describe(self):
         """Short stable string used in machine-readable output."""
         if self.kind == PLAIN:

@@ -1,6 +1,6 @@
 """Constructive reductions: Ostrogradsky-Hermite in y, Abramov reduction
-in y, orbit collapse onto a representative denominator, the two mixed
-reduced forms, and the root-of-unity trace reduction.
+in y, orbit collapse onto a representative denominator, the mixed reduced
+form of an operator pair, and the root-of-unity trace reduction.
 
 Every routine returns certificates alongside residuals and is validated by
 exact recomposition; nothing here is numeric.
@@ -9,48 +9,34 @@ exact recomposition; nothing here is numeric.
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import (BiPoly, RatFunc, cofactors, exponent_map, scale_gen,
-                   swap_gens, tree_sum, x_first)
+from .core import (RatFunc, cofactors, exponent_map, scale_gen, swap_gens,
+                   tree_sum, x_first)
 from .errors import QModeMismatch, RatexactError
-from .orbits import joint_equivalent, q_equivalent, shift_equivalent
-from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
+from .orbits import (DERIV, QSHIFT, QSHIFT_X, QSHIFT_X_DERIV_Y,
+                     QSHIFT_X_SHIFT_Y, SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y,
+                     Pair, group_orbits, joint_equivalent)
+from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .residues import PfdTerm, partial_fractions, sigma_decomposition
 
-PHI_SHIFT = "shift_x"
-PHI_QSHIFT = "qshift_x"
-
-FLAVOR_SX_DY = "sx-dy"
-FLAVOR_TQ_DY = "tq-dy"
-FLAVOR_TQ_SY = "tq-sy"
+# the x-operators under their earlier names
+PHI_SHIFT, PHI_QSHIFT = SHIFT_X, QSHIFT_X
 
 
 @dataclass(frozen=True)
 class ReducedForm:
-    """f == phi(g) - g + dy(h) + sum(terms), with the operator pair fixed
-    by the flavor tag (dy means d/dy for the *-dy flavors and the forward
-    y-difference for tq-sy)."""
+    """f == dx(g) + dy(h) + sum(terms) for the operator pair (dx, dy)."""
 
     g: RatFunc
     h: RatFunc
     terms: Tuple[PfdTerm, ...]
-    flavor: str
+    pair: Pair
 
     def residual(self) -> RatFunc:
         return tree_sum([t.value() for t in self.terms], self.g.mode)
 
     def recompose(self) -> RatFunc:
-        if self.flavor == FLAVOR_SX_DY:
-            dx = self.g.shift_x(1) - self.g
-            dy = self.h.deriv_y()
-        elif self.flavor == FLAVOR_TQ_DY:
-            dx = self.g.qshift_x(1) - self.g
-            dy = self.h.deriv_y()
-        elif self.flavor == FLAVOR_TQ_SY:
-            dx = self.g.qshift_x(1) - self.g
-            dy = self.h.shift_y(1) - self.h
-        else:
-            raise ValueError("unknown flavor %r" % (self.flavor,))
-        return dx + dy + self.residual()
+        return (self.pair.dx.delta(self.g) + self.pair.dy.delta(self.h)
+                + self.residual())
 
 
 def _integrate_y(P):
@@ -158,89 +144,38 @@ def _collect_terms(entries, mode):
     return tuple(t for t in terms if not t.num.is_zero)
 
 
-def _op_pow(value, kind, n):
-    """Apply the n-th power of a shift operator to a RatFunc or BiPoly."""
-    if n == 0:
-        return value
-    if isinstance(value, BiPoly):
-        if kind == PHI_SHIFT:
-            return value.shift(x, n)
-        if kind == PHI_QSHIFT:
-            return value.qshift_x(n)
-        if kind == "shift_y":
-            return value.shift(y, n)
-    else:
-        if kind == PHI_SHIFT:
-            return value.shift_x(n)
-        if kind == PHI_QSHIFT:
-            return value.qshift_x(n)
-        if kind == "shift_y":
-            return value.shift_y(n)
-    raise ValueError("unknown operator kind %r" % (kind,))
-
-
-def orbit_collapse(a: RatFunc, d: BiPoly, j: int, m: int, n: int,
-                   phi1: str, phi2: str):
+def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
     """Telescoping reduction of a/(phi1^m phi2^n(d^j)) onto the orbit
     representative d:
 
         a/phi1^m phi2^n(d^j) = phi1(u) - u + phi2(v) - v + collapsed
 
-    for commuting shifts phi1, phi2 and m, n >= 0.
+    for commuting shift Operators phi1, phi2 and m, n >= 0.
     """
     if m < 0 or n < 0:
         raise ValueError("offsets must be nonnegative (re-base the orbit)")
     mode = a.mode
     dj = RatFunc(d ** j, mode)
-    djn = _op_pow(dj, phi2, n)
-    u = tree_sum([_op_pow(a, phi1, t - m) / _op_pow(djn, phi1, t)
-                  for t in range(m)], mode)
-    am = _op_pow(a, phi1, -m)
-    v = tree_sum([_op_pow(am, phi2, k - n) / _op_pow(dj, phi2, k)
-                  for k in range(n)], mode)
-    collapsed = PfdTerm(_op_pow(am, phi2, -n), d, j)
+    djn = phi2.pow(dj, n)
+    u = tree_sum([phi1.pow(a, t - m) / phi1.pow(djn, t) for t in range(m)],
+                 mode)
+    am = phi1.pow(a, -m)
+    v = tree_sum([phi2.pow(am, k - n) / phi2.pow(dj, k) for k in range(n)],
+                 mode)
+    collapsed = PfdTerm(phi2.pow(am, -n), d, j)
     return u, v, collapsed
 
 
-def _x_orbit_groups(dens, phi, mode):
-    """Group denominators into phi-orbits in the x-direction; returns
-    (rep, {den: (offset >= 0, scale)}) pairs with phi^offset(rep) ==
-    scale * den."""
-    equiv = (lambda p, p2: shift_equivalent(p, p2, x)) \
-        if phi == PHI_SHIFT else q_equivalent
-    groups = []
-    for d in dens:
-        placed = False
-        for grp in groups:
-            res = equiv(grp["rep"], d)
-            if res is not None:
-                grp["members"].append((d, res[0]))
-                placed = True
-                break
-        if not placed:
-            groups.append({"rep": d, "members": [(d, 0)]})
-    out = []
-    for grp in groups:
-        mmin = min(n for _, n in grp["members"])
-        rep = _op_pow(grp["rep"], phi, mmin)
-        _, rep = rep.canonical()
-        members = []
-        for d, _ in grp["members"]:
-            res = equiv(rep, d)
-            members.append((d, res[0], res[1]))
-        out.append((rep, members))
-    return out
-
-
-def _lift_coefficientwise(a: RatFunc, summable, mode):
-    """b in k(x)[y] with phi(b) - b == a, lifting the univariate
-    summability certificate through each y-coefficient; None when some
-    coefficient is not summable."""
+def _lift_coefficientwise(a: RatFunc, dx):
+    """b in k(x)[y] with dx(b) == a, lifting the univariate summability
+    certificate through each y-coefficient; None when some coefficient is
+    not summable."""
+    mode = a.mode
     P = a.y_poly()
     Y = mode.pair_ring().gens[0]
     parts = []
     for (j,), c in P.items():
-        res = summable(RatFunc.from_y(P.ring.ground_new(c), mode))
+        res = dx.summable(RatFunc.from_y(P.ring.ground_new(c), mode))
         if not res.summable:
             return None
         # the certificate is free of y, so times y^j its pair stays
@@ -250,107 +185,81 @@ def _lift_coefficientwise(a: RatFunc, summable, mode):
     return tree_sum(parts, mode)
 
 
-def _absorb_summable(terms, phi, mode):
+def _absorb_summable(terms, dx):
     """Split residual terms over x-free denominators whose numerators
-    are phi-summable in x into an extra phi-difference part.
+    are summable in x into an extra dx-difference part.
 
     Such a term a/d^j equals phi(b/d^j) - b/d^j because phi fixes d;
     moving it out makes the residual vanish on every pure difference."""
-    from .summation import abramov_summable_x, q_summable_x
-    summable = abramov_summable_x if phi == PHI_SHIFT else q_summable_x
     extra = []
     rest = []
     for t in terms:
         b = None
         if t.den.free_of(x):
-            b = _lift_coefficientwise(t.num, summable, mode)
+            b = _lift_coefficientwise(t.num, dx)
         if b is None:
             rest.append(t)
         else:
-            extra.append(b / RatFunc(t.den ** t.j, mode))
+            extra.append(b / RatFunc(t.den ** t.j, t.num.mode))
     return extra, tuple(rest)
 
 
-def phi_dy_reduced_form(f: RatFunc, phi: str = PHI_SHIFT) -> ReducedForm:
-    """Hermite reduction followed by x-direction orbit collapse of the
-    simple residual; phi is the shift or (non-root-of-unity) q-shift."""
-    mode = f.mode
-    if phi == PHI_QSHIFT:
-        if mode.kind not in (TRANSCENDENTAL, RATIONAL):
-            raise QModeMismatch(
-                "q-shift reduced form requires q not a root of unity")
-        flavor = FLAVOR_TQ_DY
-    else:
-        flavor = FLAVOR_SX_DY
-    h, simple = hermite_reduce_y(f)
-    dens = []
-    for t in simple:
-        if all(not (t.den == d) for d in dens):
-            dens.append(t.den)
-    groups = _x_orbit_groups(dens, phi, mode)
-    parts = []
-    residues = []
-    for rep, members in groups:
-        for t in simple:
-            match = next(((off, sc) for d, off, sc in members
-                          if d == t.den), None)
-            if match is None:
-                continue
-            off, sc = match
-            A = t.num * RatFunc(sc, mode)
-            u, _, collapsed = orbit_collapse(A, rep, 1, off, 0, phi, "shift_y")
-            parts.append(u)
-            residues.append((collapsed.num, rep, 1))
-    extra, terms = _absorb_summable(_collect_terms(residues, mode), phi, mode)
-    return ReducedForm(tree_sum(parts + extra, mode), h, terms, flavor)
+def reduce_y(f: RatFunc, dy):
+    """(h, terms) with f = dy(h) + sum of terms: Hermite reduction for
+    d/dy, Abramov reduction for the y-shift."""
+    if dy.kind == DERIV:
+        return hermite_reduce_y(f)
+    return abramov_reduce_y(f)
 
 
-def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
-    """Abramov reduction in y followed by joint (tau_{x,q}, sigma_y)-orbit
-    collapse; requires q not a root of unity."""
+def _reduced_form(f: RatFunc, pair) -> ReducedForm:
+    """Reduction in y, then collapse of the residual denominators onto
+    orbit representatives: x-orbits for d/dy, joint (tau_{x,q},
+    sigma_y)-orbits for the y-shift.  Residual terms whose numerators are
+    summable in x move into g."""
     mode = f.mode
-    if mode.kind not in (TRANSCENDENTAL, RATIONAL):
+    dx, dy = pair.dx, pair.dy
+    if dx.kind == QSHIFT and mode.kind not in (TRANSCENDENTAL, RATIONAL):
         raise QModeMismatch(
-            "(tau, sigma_y)-reduced form requires q not a root of unity")
-    h, terms0 = abramov_reduce_y(f)
-    dens = []
-    for t in terms0:
-        if all(not (t.den == d) for d in dens):
-            dens.append(t.den)
-    groups = []
-    for d in dens:
-        placed = False
-        for grp in groups:
-            w = joint_equivalent(grp["rep"], d)
-            if w is not None:
-                grp["members"].append((d, w))
-                placed = True
-                break
-        if not placed:
-            groups.append({"rep": d,
-                           "members": [(d, joint_equivalent(d, d))]})
+            "q-shift reduced form requires q not a root of unity")
+    h, terms = reduce_y(f, dy)
+    if dy.kind == DERIV:
+        def equiv(p, p2):
+            w = dx.equivalent(p, p2)
+            return None if w is None else ((w[0], 0), w[1])
+    else:
+        def equiv(p, p2):
+            w = joint_equivalent(p, p2)
+            return None if w is None else ((w.m, w.n), w.scale)
+
+    def rebase(p, offsets):
+        return SHIFT_Y.pow(dx.pow(p, min(m for m, _ in offsets)),
+                           min(n for _, n in offsets))
     g_parts, h_parts, residues = [], [h], []
-    for grp in groups:
-        m0 = min(w.m for _, w in grp["members"])
-        n0 = min(w.n for _, w in grp["members"])
-        rep = grp["rep"].qshift_x(m0).shift(y, n0)
-        _, rep = rep.canonical()
-        for t in terms0:
-            if all(not (t.den == d) for d, _ in grp["members"]):
+    for rep, members in group_orbits([t.den for t in terms], equiv, rebase):
+        for t in terms:
+            if t.den not in members:
                 continue
-            w = joint_equivalent(rep, t.den)
-            if w is None or w.m < 0 or w.n < 0:  # pragma: no cover
-                raise RatexactError("orbit re-basing failed")
-            A = t.num * RatFunc(w.scale ** t.j, mode)
-            u, v, collapsed = orbit_collapse(A, rep, t.j, w.m, w.n,
-                                             PHI_QSHIFT, "shift_y")
+            (m, n), scale = members[t.den]
+            A = t.num * RatFunc(scale ** t.j, mode)
+            u, v, collapsed = orbit_collapse(A, rep, t.j, m, n, dx, SHIFT_Y)
             g_parts.append(u)
             h_parts.append(v)
             residues.append((collapsed.num, rep, t.j))
-    extra, terms = _absorb_summable(_collect_terms(residues, mode),
-                                    PHI_QSHIFT, mode)
+    extra, rest = _absorb_summable(_collect_terms(residues, mode), dx)
     return ReducedForm(tree_sum(g_parts + extra, mode),
-                       tree_sum(h_parts, mode), terms, FLAVOR_TQ_SY)
+                       tree_sum(h_parts, mode), rest, pair)
+
+
+def phi_dy_reduced_form(f: RatFunc, phi=SHIFT_X) -> ReducedForm:
+    """The reduced form for (phi, d/dy), phi = SHIFT_X or QSHIFT_X."""
+    return _reduced_form(f, SHIFT_X_DERIV_Y if phi == SHIFT_X
+                         else QSHIFT_X_DERIV_Y)
+
+
+def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
+    """The reduced form for (tau_{x,q}, sigma_y)."""
+    return _reduced_form(f, QSHIFT_X_SHIFT_Y)
 
 
 def _tau_split(f: RatFunc, m: int):

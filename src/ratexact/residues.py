@@ -9,18 +9,13 @@ representative; the orbit-summed, shift-aligned numerator at a fixed
 multiplicity is the sigma_y-residue.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import sympy as sp
+from dataclasses import dataclass
+from typing import Tuple
 
 from .core import BiPoly, RatFunc, to_y
 from .factorization import factor
-from .orbits import shift_equivalent
+from .orbits import SHIFT_Y, shift_equivalent
 from .qmodes import y
-
-PLAIN_MODE = "plain"
-SIGMA_MODE = "sigma"
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,6 @@ class PfdTerm:
 class Decomposition:
     poly_part: RatFunc
     terms: Tuple[PfdTerm, ...]
-    kind: str = PLAIN_MODE
 
     def recompose(self) -> RatFunc:
         acc = self.poly_part
@@ -104,55 +98,21 @@ def partial_fractions(f: RatFunc) -> Decomposition:
     return Decomposition(poly_part, tuple(terms))
 
 
-def _orbit_groups(terms, dens):
-    """Group the distinct denominators into sigma_y-orbits.
-
-    Returns a list of (rep, members) where rep is the minimal-shift
-    canonical representative and members maps each denominator to its
-    (offset, scale) with sigma_y^offset(rep) == scale * den."""
-    groups = []
-    for d in dens:
-        placed = False
-        for grp in groups:
-            res = shift_equivalent(grp["rep"], d, y)
-            if res is not None:
-                grp["members"].append((d, res[0], res[1]))
-                placed = True
-                break
-        if not placed:
-            groups.append({"rep": d, "members": [(d, 0, sp.Integer(1))]})
-    out = []
-    for grp in groups:
-        nmin = min(n for _, n, _ in grp["members"])
-        rep = grp["rep"].shift(y, nmin)
-        _, rep = rep.canonical()
-        members = {}
-        for d, _, _ in grp["members"]:
-            res = shift_equivalent(rep, d, y)
-            members[d] = (res[0], res[1])
-        out.append((rep, members))
-    return out
-
-
 def sigma_decomposition(f: RatFunc) -> Decomposition:
     """Partial fractions with denominators grouped into sigma_y-orbits:
     every term denominator is sigma_y^ell(rep)^j for one of the pairwise
     sigma_y-inequivalent representatives rep."""
     plain = partial_fractions(f)
-    dens = []
-    for t in plain.terms:
-        if all(not (t.den == d) for d in dens):
-            dens.append(t.den)
-    groups = _orbit_groups(plain.terms, dens)
     terms = []
-    for rep, members in groups:
+    for rep, members in SHIFT_Y.orbits(t.den for t in plain.terms):
         for t in plain.terms:
-            if t.den in members or any(t.den == d for d in members):
-                ell, scale = next(v for d, v in members.items() if d == t.den)
-                # sigma^ell(rep) = scale * den  =>  a/den^j = a*scale^j/sigma^ell(rep)^j
+            if t.den in members:
+                ell, scale = members[t.den]
+                # sigma^ell(rep) = scale * den, so
+                # a/den^j = a*scale^j/sigma^ell(rep)^j
                 num = t.num * RatFunc(scale ** t.j, f.mode)
                 terms.append(PfdTerm(num, rep, t.j, ell))
-    return Decomposition(plain.poly_part, tuple(terms), SIGMA_MODE)
+    return Decomposition(plain.poly_part, tuple(terms))
 
 
 def residue_dy(f: RatFunc, d: BiPoly) -> RatFunc:
@@ -173,7 +133,6 @@ def residue_sigma(f: RatFunc, d: BiPoly, j: int) -> RatFunc:
     u, dcan = d.canonical()
     dec = sigma_decomposition(f)
     acc = RatFunc(0, mode)
-    seen_reps = []
     for t in dec.terms:
         if t.j != j:
             continue
@@ -185,5 +144,4 @@ def residue_sigma(f: RatFunc, d: BiPoly, j: int) -> RatFunc:
         L = t.ell + n0
         a = t.num * RatFunc(scale0 ** j * u ** j, mode)
         acc = acc + a.shift_y(-L)
-        seen_reps.append(t.den)
     return acc

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 from .core import BiPoly, RatFunc, is_difference, tree_sum
 from .errors import QModeMismatch, RatexactError
-from .orbits import q_equivalent
+from .orbits import QSHIFT_X
 from .qmodes import RATIONAL, TRANSCENDENTAL, x, y
 from .reductions import abramov_reduce_y
 
@@ -78,25 +78,13 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
     for a, j in xpow_terms:
         # a is ground; delta_q(a x^-j / (q^-j - 1)) = a x^-j
         parts.append(a * RatFunc(x ** (-j) / (qv ** (-j) - 1), mode))
-    # group the remaining denominators into tau-orbits
-    groups = []
-    for a, d, j in orbit_terms:
-        placed = False
-        for grp in groups:
-            res = q_equivalent(grp["rep"], d)
-            if res is not None:
-                grp["members"].append((a, d, j, res[0]))
-                placed = True
-                break
-        if not placed:
-            groups.append({"rep": d, "members": [(a, d, j, 0)]})
-    for grp in groups:
-        mmin = min(m for _, _, _, m in grp["members"])
-        rep = grp["rep"].qshift_x(mmin)
-        _, rep = rep.canonical()
+    # collapse the remaining denominators onto their tau-orbits
+    for rep, members in QSHIFT_X.orbits(d for _, d, _ in orbit_terms):
         buckets = {}
-        for a, d, j, _ in grp["members"]:
-            m, scale = q_equivalent(rep, d)
+        for a, d, j in orbit_terms:
+            if d not in members:
+                continue
+            m, scale = members[d]
             A = a * RatFunc(scale ** j, mode)
             denj = RatFunc(rep ** j, mode)
             parts.extend(A.qshift_x(t_ - m) / denj.qshift_x(t_)

@@ -3,14 +3,17 @@ agreement with the linear-algebra search oracle."""
 
 import random
 
+import pytest
 import sympy as sp
 
-from ratexact import (RatFunc, decide_exact, verify_certificate,
-                      brute_force_exact, plain, transcendental,
-                      root_of_unity, rational)
+from ratexact import (BiPoly, RatFunc, decide_exact, verify_certificate,
+                      brute_force_exact, operator_pair, plain,
+                      transcendental, root_of_unity, rational, QSHIFT_X,
+                      SHIFT_X)
 from ratexact.deciders import (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y,
                                QSHIFT_X_SHIFT_Y, ROU_DERIV_Y, ROU_SHIFT_Y,
-                               MixedDenominator, NonSummableResidue)
+                               MixedDenominator, NonSummableResidue,
+                               _hull_candidates)
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -184,24 +187,45 @@ def test_rational_q_mode():
 # -- oracle agreement ------------------------------------------------
 
 def test_brute_force_agrees_on_examples():
+    # on every pair 1/(xy) is exact and 1/((x-1)y) is not, except that
+    # 1/(xy) is not exact on dx-dy
     cases = [
-        (RatFunc.from_pair(1, x + y, P), SHIFT_X_DERIV_Y),
-        (RatFunc.from_pair(1, x * y, P), SHIFT_X_DERIV_Y),
-        (RatFunc.from_pair(1, x * (x + 1) * y, P), SHIFT_X_DERIV_Y),
-        (RatFunc.from_pair(1, x * y, T), QSHIFT_X_SHIFT_Y),
+        (RatFunc.from_pair(1, x + y, P), SHIFT_X_DERIV_Y, False),
+        (RatFunc.from_pair(1, x * y, P), SHIFT_X_DERIV_Y, False),
+        (RatFunc.from_pair(1, x * (x + 1) * y, P), SHIFT_X_DERIV_Y, True),
     ]
+    q_pairs = (QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y)
     for mode, pairs in ((root_of_unity(3), (ROU_DERIV_Y, ROU_SHIFT_Y)),
                         (root_of_unity(4), (ROU_DERIV_Y, ROU_SHIFT_Y)),
-                        (rational(sp.Rational(3, 2)), (QSHIFT_X_DERIV_Y,))):
+                        (rational(sp.Rational(3, 2)), (QSHIFT_X_DERIV_Y,)),
+                        (rational(sp.Rational(2, 3)), q_pairs),
+                        (T, q_pairs)):
         for pair in pairs:
-            for den in (x * y, (x - 1) * y):
-                cases.append((RatFunc.from_pair(1, den, mode), pair))
-    for f, pair in cases:
+            cases.append((RatFunc.from_pair(1, x * y, mode), pair, True))
+            cases.append((RatFunc.from_pair(1, (x - 1) * y, mode), pair,
+                          False))
+    for f, pair, exact in cases:
         found = brute_force_exact(f, pair)
         decided = decide_exact(f, pair)
-        assert (found is not None) == decided.exact
+        assert decided.exact == exact, (f, pair.name)
+        assert (found is not None) == exact, (f, pair.name)
         if found is not None:
             assert verify_certificate(f, *found, pair)
+
+
+def test_pair_strings_rejected():
+    f = RatFunc.from_pair(1, x * (x + 1) * y, P)
+    zero = RatFunc(0, P)
+    for name in ("shift_x:deriv_y", "dx-dy", None):
+        with pytest.raises(ValueError):
+            decide_exact(f, name)
+        with pytest.raises(ValueError):
+            verify_certificate(f, zero, zero, name)
+        with pytest.raises(ValueError):
+            brute_force_exact(f, name)
+    for mode in (P, T, root_of_unity(3)):
+        with pytest.raises(ValueError):
+            operator_pair("bogus", mode)
 
 
 def test_brute_force_certificate_verifies():
@@ -209,3 +233,20 @@ def test_brute_force_certificate_verifies():
     found = brute_force_exact(f, QSHIFT_X_DERIV_Y)
     assert found is not None
     assert verify_certificate(f, *found, QSHIFT_X_DERIV_Y)
+
+
+def test_hull_candidates_clip_around_first_factor():
+    # x + 2 and x - 9 lie 5 and -6 shifts from the first factor x - 3;
+    # the hull is clipped to R = 4 around x - 3, at one above the orbit's
+    # largest multiplicity
+    factors = [(BiPoly(x - 3, P), 1), (BiPoly(x + 2, P), 2),
+               (BiPoly(x - 9, P), 1), (BiPoly(y, P), 1)]
+    assert _hull_candidates(factors, SHIFT_X, 4) == \
+        [(BiPoly(x - 3 + t, P), 3) for t in range(-4, 5)] + [(BiPoly(y, P), 2)]
+    # at q = 2, 8x - 1 and x - 4 lie 3 and -2 q-shifts from x - 1
+    M = rational(2)
+    factors = [(BiPoly(x - 1, M), 1), (BiPoly(8 * x - 1, M), 1),
+               (BiPoly(x - 4, M), 1)]
+    assert _hull_candidates(factors, QSHIFT_X, 2) == \
+        [(BiPoly(p, M), 2) for p in (x - 4, x - 2, x - 1, 2 * x - 1,
+                                     4 * x - 1)]

@@ -1,13 +1,12 @@
-"""Irreducible factorization, content/primitive split, squarefree parts."""
+"""Irreducible factorization."""
 
 import random
 
 import sympy as sp
 import pytest
 
-from ratexact import (BiPoly, Factorization, factor, content_primitive,
-                      squarefree, plain, rational, root_of_unity,
-                      transcendental)
+from ratexact import (BiPoly, Factorization, factor, plain, rational,
+                      root_of_unity, transcendental)
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -80,25 +79,3 @@ def test_recomposition_of_random_products():
             built[key] = built.get(key, 0) + 1
         got = {sp.sstr(b.expr): e for b, e in fac.factors}
         assert got == built
-
-
-def test_content_primitive():
-    cont, prim = content_primitive(BiPoly(sp.expand(3 * y * x + 3 * y), P),
-                                   x)
-    assert cont.expr == 3 * y
-    assert prim.expr == x + 1
-    cont, prim = content_primitive(BiPoly(x + y, P), x)
-    assert cont.expr == 1
-
-
-def test_squarefree_parts_coprime():
-    p = BiPoly(sp.expand(y ** 2 * (y + 1) * (x * y - 1) ** 3), P)
-    parts = squarefree(p, y)
-    rec = BiPoly(1, P)
-    for b, e in parts:
-        rec = rec * b ** e
-    assert rec == p
-    exprs = [b.expr for b, _ in parts if not b.free_of(y)]
-    for i in range(len(exprs)):
-        for j in range(i + 1, len(exprs)):
-            assert sp.gcd(exprs[i], exprs[j]) == 1

@@ -1,16 +1,21 @@
-"""Shift-, q-shift-, and joint-orbit equivalence."""
+"""Shift-, q-shift-, and joint-orbit equivalence; Operator powers and
+orbit grouping."""
 
+import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ratexact import (BiPoly, RatFunc, plain, rational, root_of_unity,
                       transcendental, shift_equivalent, sigma_equivalent,
                       q_equivalent, joint_equivalent, decide_exact,
-                      verify_certificate)
+                      verify_certificate, group_orbits, QSHIFT_X, SHIFT_X,
+                      SHIFT_Y)
 from ratexact.deciders import QSHIFT_X_DERIV_Y
 from ratexact.qmodes import q, x, y
 
 P = plain()
 T = transcendental()
+R23 = rational(sp.Rational(2, 3))
 
 
 def test_sigma_equivalent_basic():
@@ -120,9 +125,74 @@ def test_shift_equivalence_axioms():
 
 def test_self_equivalence_forces_x_free():
     # a nonzero shift-self-equivalence can only happen for x-free polys
-    from ratexact.orbits import is_free_of_x
     p = BiPoly(y ** 2 + 1, P)
-    assert is_free_of_x(p)
+    assert p.free_of(x)
     mixed = BiPoly(x * y - 1, T)
     w = joint_equivalent(mixed, mixed)
     assert w is None or (w.m, w.n) == (0, 0)
+
+
+# -- Operator powers and group_orbits ---------------------------------
+
+_OPERATORS = {"shift_x": (SHIFT_X, P), "qshift_x@2/3": (QSHIFT_X, R23),
+              "qshift_x@q": (QSHIFT_X, T), "shift_y": (SHIFT_Y, P)}
+
+# coefficients of x^i y^j, i, j <= 2, of a random source polynomial
+_coeffs = st.lists(st.integers(-4, 4), min_size=9, max_size=9)
+# (source index, power, scale numerator) of one translate
+_translate = st.tuples(st.integers(0, 2), st.integers(-3, 3),
+                       st.sampled_from((1, -1, 2, -3)))
+
+
+def _source(coeffs, k, op):
+    """A polynomial of degree k + 1 in op's variable: sources of distinct
+    degrees lie in distinct orbits, since the operators keep degrees."""
+    other = y if op.var == x else x
+    body = sum(c * op.var ** (i % 3) * other ** (i // 3)
+               for i, c in enumerate(coeffs) if i % 3 <= k)
+    return op.var ** (k + 1) * (other + 1) + body
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(_coeffs, min_size=3, max_size=3),
+       st.lists(_translate, min_size=1, max_size=6))
+def test_group_orbits_of_random_translates(name, coeffs, translates):
+    op, mode = _OPERATORS[name]
+    sources = [BiPoly(_source(c, k, op), mode)
+               for k, c in enumerate(coeffs)]
+    dens = [op.pow(sources[i], n) * c for i, n, c in translates]
+    groups = op.orbits(dens)
+    assert len(groups) == len({i for i, _, _ in translates})
+    assert {d for _, members in groups for d in members} == set(dens)
+    for rep, members in groups:
+        assert len({d.degree(op.var) for d in members}) == 1
+        for d, (off, scale) in members.items():
+            assert off >= 0
+            assert op.pow(rep, off) == d * scale
+    f = RatFunc.from_pair(sources[0].expr, sources[1].expr, mode)
+    for a, b in ((1, 2), (-2, 3), (3, -3)):
+        assert op.pow(op.pow(f, a), b) == op.pow(f, a + b)
+        assert op.pow(op.pow(sources[2], a), b) == op.pow(sources[2], a + b)
+
+
+def test_group_orbits_joint_offsets():
+    # group_orbits takes any equivalence: here the joint (tau, sigma_y)
+    # witness, with offsets (m, n) and the translate by the smallest m and n
+    def equiv(p, p2):
+        w = joint_equivalent(p, p2)
+        return None if w is None else ((w.m, w.n), w.scale)
+
+    def rebase(p, offsets):
+        return SHIFT_Y.pow(QSHIFT_X.pow(p, min(m for m, _ in offsets)),
+                           min(n for _, n in offsets))
+    base = BiPoly(x * y - 1, T)
+    dens = [base.qshift_x(2).shift(y, -1), base, base.shift(y, 3) * 2,
+            BiPoly(x + y, T)]
+    groups = group_orbits(dens, equiv, rebase)
+    assert len(groups) == 2
+    rep, members = groups[0]
+    assert rep == base.shift(y, -1)
+    assert members[dens[0]][0] == (2, 0)
+    assert members[base][0] == (0, 1)
+    assert members[dens[2]][0] == (0, 4)
