@@ -5,7 +5,7 @@ verified telescoping certificates."""
 from .errors import (RatexactError, ZeroDenominator, ZeroPolynomial,
                      QModeMismatch, ExprSyntaxError)
 from .qmodes import (QMode, plain, transcendental, rational,
-                     root_of_unity, primitive_root, x, y, q)
+                     root_of_unity, x, y, q)
 from .core import BiPoly, RatFunc
 from .factorization import Factorization, factor
 from .orbits import (Operator, Pair, SHIFT_X, QSHIFT_X, DERIV_Y, SHIFT_Y,

@@ -168,7 +168,7 @@ def _cmd_factor(args):
     if not f.is_polynomial():
         raise RatexactError("factor expects a polynomial")
     fac = factor_poly(f.num)
-    payload = {"unit": canonical_str(RatFunc(fac.unit, mode)),
+    payload = {"unit": canonical_str(RatFunc(1, mode).mul_ground(fac.unit)),
                "factors": [[canonical_str(RatFunc(p, mode)), e]
                            for p, e in fac.factors],
                "qmode": mode.describe()}

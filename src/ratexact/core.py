@@ -8,8 +8,11 @@ and Q(zeta_m).  A BiPoly holds an element of k[y, x]
 pair in ``QMode.pair_ring``: that is k[y, x] as well, except over Q(q),
 where the pair is cleared of q-denominators into Q[y, x, q] so that gcds
 run over Q.  All arithmetic, cancellation, shifts and derivatives work on
-the ring elements; the sympy ``Expr`` of a value (``.expr``,
-``as_expr()``) is built only when something asks for it.
+the ring elements, and every scalar (an orbit scale, a unit, a power of q)
+is an element of ``QMode.coeff_domain()``.  A sympy ``Expr`` is read only
+as the input of the public constructors ``BiPoly(expr, mode)`` and
+``RatFunc(expr, mode)`` (``_from_expr``); the ``Expr`` of a value
+(``.expr``, ``as_expr()``) is built only when something asks for it.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair has
 integer coefficients with coprime contents and a positive leading
@@ -37,13 +40,9 @@ _EVAL_POINT = 1000003
 
 
 def _from_expr(expr, ring):
-    """Ring element for a polynomial expression (a ground denominator,
-    such as 1/2 or 1/q over Q(q), is allowed)."""
+    """(n, d) in ring with n/d == expr, a sympy expression."""
     num, den = sp.fraction(sp.together(sp.sympify(expr)))
-    n, d = ring.from_expr(num), ring.from_expr(den)
-    if d.is_ground:
-        return n.quo_ground(d.LC)
-    return n.exquo(d)
+    return ring.from_expr(num), ring.from_expr(den)
 
 
 def _shift(p, i, n):
@@ -284,7 +283,9 @@ class BiPoly:
     __slots__ = ("rep", "mode", "_expr")
 
     def __init__(self, expr, mode):
-        self._init(_from_expr(expr, mode.poly_ring()), mode)
+        # a ground denominator, such as 1/2 or 1/q over Q(q), is allowed
+        n, d = _from_expr(expr, mode.poly_ring())
+        self._init(n.quo_ground(d.LC) if d.is_ground else n.exquo(d), mode)
 
     def _init(self, rep, mode):
         object.__setattr__(self, "rep", rep)
@@ -298,6 +299,11 @@ class BiPoly:
         self = object.__new__(cls)
         self._init(rep if rep.ring == ring else _collect(rep, ring), mode)
         return self
+
+    @classmethod
+    def ground(cls, c, mode):
+        """The constant polynomial c, for c in mode.coeff_domain()."""
+        return cls.from_rep(mode.poly_ring().ground_new(c), mode)
 
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
@@ -338,6 +344,9 @@ class BiPoly:
     def _lift(self, other):
         if isinstance(other, BiPoly):
             return other.rep
+        ring = self.rep.ring
+        if ring.domain.of_type(other):  # a ground element, such as a scale
+            return ring.ground_new(other)
         return BiPoly(other, self.mode).rep
 
     def _new(self, rep):
@@ -381,11 +390,11 @@ class BiPoly:
     # -- canonical normalization --------------------------------------
 
     def canonical(self):
-        """(unit, primitive) with self = unit * primitive; the unit is a
-        sympy number (or rational function of q)."""
+        """(unit, primitive) with self = unit * primitive; the unit is an
+        element of mode.coeff_domain()."""
         dom = self.rep.ring.domain
         if self.is_zero:
-            return sp.Integer(1), self
+            return dom.one, self
         if dom.is_QQ:
             # integer-primitive with positive leading coefficient
             u = self.rep.content()
@@ -393,9 +402,7 @@ class BiPoly:
                 u = -u
         else:
             u = self.rep.LC
-        if u == dom.one:
-            return sp.Integer(1), self
-        return dom.to_sympy(u), self._new(self.rep.quo_ground(u))
+        return u, (self if u == dom.one else self._new(self.rep.quo_ground(u)))
 
     # -- operator actions ---------------------------------------------
 
@@ -433,8 +440,7 @@ class RatFunc:
         elif isinstance(expr, BiPoly):
             n, d = _reduce(*to_pair(expr.rep, mode), mode)
         else:
-            num, den = sp.fraction(sp.together(sp.sympify(expr)))
-            n, d = _reduce(ring.from_expr(num), ring.from_expr(den), mode)
+            n, d = _reduce(*_from_expr(expr, ring), mode)
         self._init(n, d, mode)
 
     def _init(self, n, d, mode):
@@ -556,6 +562,11 @@ class RatFunc:
         return self._times(other.numer, other.denom)
 
     __rmul__ = __mul__
+
+    def mul_ground(self, c):
+        """self * c for c in mode.coeff_domain()."""
+        mode = self.mode
+        return self._times(*to_pair(mode.poly_ring().ground_new(c), mode))
 
     def __truediv__(self, other):
         other = self._lift(other)

@@ -208,9 +208,8 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     mode = f.mode
     dx, dy = _checked(pair).dx, pair.dy
 
-    den_g = BiPoly(1, mode)
-    den_h = BiPoly(1, mode)
-    if not f.den == BiPoly(1, mode):
+    den_g = den_h = one = BiPoly.ground(1, mode)
+    if not f.den == one:
         factors = factor_poly(f.den).factors
         for cand, mult in _hull_candidates(factors, dx, R):
             den_g = den_g * cand ** mult

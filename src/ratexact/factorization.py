@@ -11,7 +11,7 @@ from typing import Tuple
 
 import sympy as sp
 
-from .core import BiPoly, free_of_gen, to_pair
+from .core import BiPoly, to_pair
 from .errors import RatexactError, ZeroPolynomial
 
 
@@ -19,11 +19,11 @@ from .errors import RatexactError, ZeroPolynomial
 class Factorization:
     """unit * prod(factor**multiplicity) == the factored polynomial."""
 
-    unit: sp.Expr
+    unit: object  # an element of mode.coeff_domain()
     factors: Tuple[Tuple[BiPoly, int], ...]
 
     def recompose(self, mode):
-        acc = BiPoly(self.unit, mode)
+        acc = BiPoly.ground(self.unit, mode)
         for f, m in self.factors:
             acc = acc * f ** m
         return acc
@@ -50,13 +50,13 @@ def factor(p: BiPoly) -> Factorization:
         const, raw = P.factor_list()
     except (sp.PolynomialError, sp.polys.polyerrors.DomainError) as exc:
         raise RatexactError(str(exc)) from exc
-    unit = P.ring.domain.to_sympy(const) / common.as_expr()
+    dom = p.rep.ring.domain
+    unit = dom.quo(dom.convert(const, P.ring.domain),
+                   BiPoly.from_rep(common, mode).rep.LC)
     factors = []
     for f, mult in raw:
-        if free_of_gen(f, 0) and free_of_gen(f, 1):
-            unit *= f.as_expr() ** mult
-            continue
         u, prim = BiPoly.from_rep(f, mode).canonical()
         unit *= u ** mult
-        factors.append((prim, int(mult)))
-    return Factorization(sp.cancel(unit), _sort_factors(factors))
+        if not prim.rep.is_ground:
+            factors.append((prim, int(mult)))
+    return Factorization(unit, _sort_factors(factors))

@@ -19,11 +19,12 @@ from .qmodes import PLAIN, RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
 
 @dataclass(frozen=True)
 class OrbitWitness:
-    """tau_{x,q}^m sigma_y^n (source) == scale * target, scale in k*."""
+    """tau_{x,q}^m sigma_y^n (source) == scale * target, scale a nonzero
+    element of mode.coeff_domain()."""
 
     m: int
     n: int
-    scale: sp.Expr
+    scale: object
 
 
 def _ground_ratio(a, b):
@@ -34,8 +35,23 @@ def _ground_ratio(a, b):
     return s if a == b.mul_ground(s) else None
 
 
-def _shift_equivalent(p, p2, var):
-    """(n, s) with shift_var^n(p) == s * p2, s in k, or None."""
+def _rational(c, dom):
+    """The element c of the ground field dom as a rational number, or None
+    when it is not one."""
+    if dom.is_QQ:
+        return c
+    if dom.is_Algebraic:  # Q(zeta_m), in the power basis of zeta_m
+        return c.LC() if c.is_ground else None
+    if c.numer.is_ground and c.denom.is_ground:  # Q(q)
+        return c.numer.LC / c.denom.LC
+    return None
+
+
+def shift_equivalent(p: BiPoly, p2: BiPoly, var):
+    """(n, scale) with shift_var^n(p) == scale * p2, scale in k, or None.
+
+    Works for var = y (sigma_y-equivalence) and var = x alike.
+    """
     i = p.rep.ring.symbols.index(var)
     a, b = p.rep, p2.rep
     d = a.degree(i)
@@ -53,26 +69,13 @@ def _shift_equivalent(p, p2, var):
     n = 0
     if r:
         t = _ground_ratio(r, ca)
-        if t is None:
+        t = None if t is None else _rational(t, a.ring.domain)
+        if t is None or t.denominator != 1 or t.numerator % d:
             return None
-        n = a.ring.domain.to_sympy(t) / d
-        if not n.is_Integer:
-            return None
-        n = int(n)
+        n = t.numerator // d
     if p.shift(var, n).rep == b.mul_ground(s):
         return n, s
     return None
-
-
-def shift_equivalent(p: BiPoly, p2: BiPoly, var):
-    """(n, scale) with shift_var^n(p) == scale * p2, or None.
-
-    Works for var = y (sigma_y-equivalence) and var = x alike.
-    """
-    res = _shift_equivalent(p, p2, var)
-    if res is None:
-        return None
-    return res[0], p.rep.ring.domain.to_sympy(res[1])
 
 
 def sigma_equivalent(p: BiPoly, p2: BiPoly):
@@ -122,8 +125,12 @@ def _x_support(p):
     return sorted({m[1] for m in p.rep.itermonoms()})
 
 
-def _q_equivalent(p, p2):
-    """(m, s) with tau_{x,q}^m(p) == s * p2, s in k, or None."""
+def q_equivalent(p: BiPoly, p2: BiPoly):
+    """(m, scale) with tau_{x,q}^m(p) == scale * p2, scale in k, or None.
+
+    A single-x-support polynomial is its own orbit (tau acts by a scalar);
+    the degenerate witness m = 0 is returned when the two are associates.
+    """
     mode = p.mode
     if not mode.has_q:
         raise QModeMismatch("q-orbit test requires a q-mode")
@@ -147,18 +154,6 @@ def _q_equivalent(p, p2):
     return None if s is None else (m, s)
 
 
-def q_equivalent(p: BiPoly, p2: BiPoly):
-    """(m, scale) with tau_{x,q}^m(p) == scale * p2, or None.
-
-    A single-x-support polynomial is its own orbit (tau acts by a scalar);
-    the degenerate witness m = 0 is returned when the two are associates.
-    """
-    res = _q_equivalent(p, p2)
-    if res is None:
-        return None
-    return res[0], p.rep.ring.domain.to_sympy(res[1])
-
-
 def joint_equivalent(p: BiPoly, p2: BiPoly):
     """OrbitWitness for the joint (tau_{x,q}, sigma_y)-orbit, or None.
 
@@ -178,17 +173,17 @@ def joint_equivalent(p: BiPoly, p2: BiPoly):
         if ai.degree(y) != ai2.degree(y):
             return None
         if ai.degree(y) >= 1:
-            res = _shift_equivalent(ai, ai2, y)
+            res = shift_equivalent(ai, ai2, y)
             if res is None:
                 return None
             n = res[0]
             break
-    res = _q_equivalent(p, p2.shift(y, -n))
+    res = q_equivalent(p, p2.shift(y, -n))
     if res is None:
         return None
     m, s = res
     if p.qshift_x(m).shift(y, n).rep == p2.rep.mul_ground(s):
-        return OrbitWitness(m, n, p.rep.ring.domain.to_sympy(s))
+        return OrbitWitness(m, n, s)
     return None  # pragma: no cover - candidate always verifies or None earlier
 
 

@@ -241,7 +241,7 @@ def _reduced_form(f: RatFunc, pair) -> ReducedForm:
             if t.den not in members:
                 continue
             (m, n), scale = members[t.den]
-            A = t.num * RatFunc(scale ** t.j, mode)
+            A = t.num.mul_ground(scale ** t.j)
             u, v, collapsed = orbit_collapse(A, rep, t.j, m, n, dx, SHIFT_Y)
             g_parts.append(u)
             h_parts.append(v)
@@ -271,8 +271,11 @@ def _tau_split(f: RatFunc, m: int):
     tau^i(P0 + P1) / L is then the i-th conjugate, so the conjugates are
     summed and averaged monomial by monomial, without a gcd."""
     mode = f.mode
-    if mode.kind != ROOT_OF_UNITY or mode.order != m:
-        raise QModeMismatch("trace requires QMode root_of_unity(%d)" % m)
+    if mode.kind != ROOT_OF_UNITY:
+        raise QModeMismatch("trace requires q a root of unity")
+    if mode.order != m:
+        raise QModeMismatch("trace of order %s in q-mode %s"
+                            % (m, mode.describe()))
     ring = f.denom.ring
     xy = x_first(ring)
     z = mode.q_element()

@@ -56,7 +56,7 @@ def _y_factor_split(den: BiPoly):
     irreducible factors of positive y-degree and scalar in k[x]."""
     fac = factor(den)
     yfactors = [(d, e) for d, e in fac.factors if d.degree(y) >= 1]
-    prod = BiPoly(1, den.mode)
+    prod = BiPoly.ground(1, den.mode)
     for d, e in yfactors:
         prod = prod * d ** e
     scalar = den.exact_div(prod)
@@ -110,7 +110,7 @@ def sigma_decomposition(f: RatFunc) -> Decomposition:
                 ell, scale = members[t.den]
                 # sigma^ell(rep) = scale * den, so
                 # a/den^j = a*scale^j/sigma^ell(rep)^j
-                num = t.num * RatFunc(scale ** t.j, f.mode)
+                num = t.num.mul_ground(scale ** t.j)
                 terms.append(PfdTerm(num, rep, t.j, ell))
     return Decomposition(plain.poly_part, tuple(terms))
 
@@ -122,7 +122,7 @@ def residue_dy(f: RatFunc, d: BiPoly) -> RatFunc:
     dec = partial_fractions(f)
     for t in dec.terms:
         if t.j == 1 and t.den == dcan:
-            return t.num * RatFunc(u, f.mode)
+            return t.num.mul_ground(u)
     return RatFunc(0, f.mode)
 
 
@@ -142,6 +142,6 @@ def residue_sigma(f: RatFunc, d: BiPoly, j: int) -> RatFunc:
         n0, scale0 = res
         # sigma^n0(dcan) = scale0 * rep; term den sigma^ell(rep) = sigma^(ell+n0)(dcan)/scale0
         L = t.ell + n0
-        a = t.num * RatFunc(scale0 ** j * u ** j, mode)
+        a = t.num.mul_ground((scale0 * u) ** j)
         acc = acc + a.shift_y(-L)
     return acc

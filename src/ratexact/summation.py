@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 from .core import BiPoly, RatFunc, is_difference, tree_sum
 from .errors import QModeMismatch, RatexactError
 from .orbits import QSHIFT_X
-from .qmodes import RATIONAL, TRANSCENDENTAL, x, y
+from .qmodes import RATIONAL, TRANSCENDENTAL, y
 from .reductions import abramov_reduce_y
 
 
@@ -52,7 +52,14 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
         raise QModeMismatch("q-summability requires q not a root of unity")
     if not f.free_of(y):
         raise ValueError("input must be univariate in x")
-    qv = mode.q_value
+    qv = mode.q_element()
+    ring = mode.pair_ring()
+    xf = RatFunc.from_ring(ring.gens[1], ring.one, mode)
+
+    def power(j):
+        # delta_q(x^j / (q^j - 1)) = x^j
+        return (xf ** j).mul_ground(1 / (qv ** j - 1))
+
     # reuse the y-direction partial fraction machinery on swapped input
     from .residues import partial_fractions
     dec = partial_fractions(f.swap_xy())
@@ -63,21 +70,16 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
     for (j,), c in poly.items():
         c = RatFunc.from_y(poly.ring.ground_new(c), mode)
         if j == 0:
-            obstruction.append((BiPoly(1, mode), 0, c))
+            obstruction.append((BiPoly.ground(1, mode), 0, c))
         else:
-            parts.append(c * RatFunc(x ** j / (qv ** j - 1), mode))
-    xpow_terms = []
+            parts.append(c * power(j))
     orbit_terms = []
     for t in dec.terms:
-        d = t.den.swap_xy()
-        a = t.num.swap_xy()
-        if d == BiPoly(x, mode):
-            xpow_terms.append((a, t.j))
+        d, a = t.den.swap_xy(), t.num.swap_xy()
+        if d == xf.num:
+            parts.append(a * power(-t.j))
         else:
             orbit_terms.append((a, d, t.j))
-    for a, j in xpow_terms:
-        # a is ground; delta_q(a x^-j / (q^-j - 1)) = a x^-j
-        parts.append(a * RatFunc(x ** (-j) / (qv ** (-j) - 1), mode))
     # collapse the remaining denominators onto their tau-orbits
     for rep, members in QSHIFT_X.orbits(d for _, d, _ in orbit_terms):
         buckets = {}
@@ -85,7 +87,7 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
             if d not in members:
                 continue
             m, scale = members[d]
-            A = a * RatFunc(scale ** j, mode)
+            A = a.mul_ground(scale ** j)
             denj = RatFunc(rep ** j, mode)
             parts.extend(A.qshift_x(t_ - m) / denj.qshift_x(t_)
                          for t_ in range(m))

@@ -180,6 +180,17 @@ def test_factor_rejects_fraction(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["decide", "--pair", "nope", "--expr", "x"]) == 2
+    # the trace reduction needs q a root of unity: a q-mode mismatch
+    # outside that q-mode, not a traceback
+    from ratexact import QModeMismatch, parse_ratfunc, plain
+    from ratexact.reductions import tau_reduced_root_of_unity
+    for qflags in ([], ["--q", "2"]):
+        code, _, err = run(capsys, "reduce", "--flavor", "tau-rou", *qflags,
+                           "--expr", "1/(x*y)")
+        assert code == 2
+        assert "error: trace requires q a root of unity" in err
+    with pytest.raises(QModeMismatch):
+        tau_reduced_root_of_unity(parse_ratfunc("1/(x*y)", plain()), None)
 
 
 def test_corpus_file(tmp_path, capsys):

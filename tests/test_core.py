@@ -1,7 +1,12 @@
 """Canonical forms, arithmetic, and operator actions."""
 
+import os
 import random
+import re
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import sympy as sp
 import pytest
@@ -91,13 +96,45 @@ def test_qshift_requires_q():
 
 
 def test_root_of_unity_shift_has_finite_order():
-    for m in (2, 3, 4):
+    t = sp.Symbol("t")
+    for m in range(1, 13):
         M = root_of_unity(m)
+        # k = Q[t]/Phi_m with q = t (k = Q for m <= 2), and q is a
+        # primitive m-th root of unity: q^m = 1, q^(m/p) != 1 for p | m
+        dom, z = M.coeff_domain(), M.q_element()
+        phi = [int(c) for c in sp.Poly(sp.cyclotomic_poly(m, t)).all_coeffs()]
+        if m > 2:
+            assert dom.mod.to_list() == phi
+            assert z.to_list() == [1, 0]
+        else:
+            assert dom == sp.QQ and phi == [1, -z]
+        assert z ** m == dom.one
+        assert all(z ** (m // p) != dom.one for p in sp.primefactors(m))
         f = RatFunc.from_pair(1, x + y + 1, M)
         g = f
         for _ in range(m):
             g = g.qshift_x(1)
         assert g == f
+
+
+def test_import_leaves_sympy_unpatched():
+    # importing ratexact patches nothing in sympy, and no scalar of the
+    # package goes through floating point, CRootOf or an Expr round trip
+    code = ("from sympy.polys.domains.algebraicfield import AlgebraicField\n"
+            "orig = AlgebraicField.from_sympy\n"
+            "import ratexact\n"
+            "assert AlgebraicField.from_sympy is orig\n"
+            "assert orig.__module__ == AlgebraicField.__module__\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    banned = re.compile(r"complex\(|float|CRootOf|from_sympy|to_sympy"
+                        r"|primitive_root|q_value")
+    hits = [(path.name, n, line) for path in sorted((src / "ratexact")
+                                                    .glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert hits == []
 
 
 def test_operator_application():
@@ -204,10 +241,13 @@ def test_operator_results_are_canonical_fuzz():
             assert f.shift_x(2) == RatFunc(e.subs(x, x + 2), mode)
             assert f.shift_y(-3) == RatFunc(e.subs(y, y - 3), mode)
             if mode.has_q:
-                qv = mode.q_value
+                # x -> q^n x substituted in the ring, then fully cancelled
+                X = mode.poly_ring().gens[1]
                 for n in (1, -2):
-                    assert f.qshift_x(n) == \
-                        RatFunc(e.subs(x, qv ** n * x), mode)
+                    qx = X.mul_ground(mode.q_element() ** n)
+                    num, den = (BiPoly.from_rep(p.rep.compose(X, qx), mode)
+                                for p in (f.num, f.den))
+                    assert f.qshift_x(n) == RatFunc.from_pair(num, den, mode)
 
 
 def test_ground_denominator_matches_gcd_path():

@@ -23,7 +23,8 @@ def test_sigma_equivalent_basic():
     b = BiPoly(x * (y + 3) - 1, P)
     n, scale = sigma_equivalent(a, b)
     assert n == 3 and scale == 1
-    assert BiPoly(a.expr.subs(y, y + n), P) == BiPoly(scale * b.expr, P)
+    Y = a.rep.ring.gens[0]
+    assert a.rep.compose(Y, Y + n) == b.rep.mul_ground(scale)
 
 
 def test_sigma_equivalent_negative_and_scaled():
@@ -53,7 +54,9 @@ def test_q_equivalent_symbolic():
     assert res is not None
     m, scale = res
     assert m == 2
-    assert BiPoly(a.expr.subs(x, q ** m * x) - scale * b.expr, T).is_zero
+    X = a.rep.ring.gens[1]
+    qx = X.mul_ground(T.q_element() ** m)
+    assert (a.rep.compose(X, qx) - b.rep.mul_ground(scale)).is_zero
 
 
 def test_q_inequivalent_symbolic():
@@ -102,6 +105,10 @@ def test_joint_equivalent():
     res = joint_equivalent(a, b)
     assert res is not None
     assert (res.m, res.n) == (3, -2)
+    Y, X = a.rep.ring.gens
+    qx = X.mul_ground(T.q_element() ** res.m)
+    assert a.rep.compose([(X, qx), (Y, Y + res.n)]) \
+        == b.rep.mul_ground(res.scale)
 
 
 def test_joint_inequivalent():
@@ -135,6 +142,8 @@ def test_self_equivalence_forces_x_free():
 # -- Operator powers and group_orbits ---------------------------------
 
 _OPERATORS = {"shift_x": (SHIFT_X, P), "qshift_x@2/3": (QSHIFT_X, R23),
+              "qshift_x@-2": (QSHIFT_X, rational(-2)),
+              "qshift_x@zeta3": (QSHIFT_X, root_of_unity(3)),
               "qshift_x@q": (QSHIFT_X, T), "shift_y": (SHIFT_Y, P)}
 
 # coefficients of x^i y^j, i, j <= 2, of a random source polynomial
@@ -169,6 +178,7 @@ def test_group_orbits_of_random_translates(name, coeffs, translates):
         assert len({d.degree(op.var) for d in members}) == 1
         for d, (off, scale) in members.items():
             assert off >= 0
+            assert mode.coeff_domain().of_type(scale)
             assert op.pow(rep, off) == d * scale
     f = RatFunc.from_pair(sources[0].expr, sources[1].expr, mode)
     for a, b in ((1, 2), (-2, 3), (3, -3)):
