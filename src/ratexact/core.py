@@ -380,13 +380,6 @@ class BiPoly:
     def __repr__(self):
         return "BiPoly(%s)" % self.expr
 
-    def exact_div(self, other):
-        """self / other, which must divide exactly."""
-        q, r = self.rep.div(self._lift(other))
-        if r:
-            raise ValueError("inexact polynomial division")
-        return self._new(q)
-
     # -- canonical normalization --------------------------------------
 
     def canonical(self):

@@ -68,8 +68,9 @@ def hermite_reduce_y(f: RatFunc):
         dDp = Dp.diff(gen)
         a = t.num.y_poly()
         j = t.j
+        if j > 1:
+            vB = Dp.gcdex(dDp)[1]
         while j > 1:
-            uB, vB, one = Dp.gcdex(dDp)
             # a = s*d + t*d' with deg t < deg d
             tB = (a * vB).rem(Dp)
             sB = (a - tB * dDp).quo(Dp)

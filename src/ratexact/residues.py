@@ -3,16 +3,20 @@ notions attached to them.
 
 The plain decomposition writes f as a y-polynomial part plus terms
 a/(d^j) over the distinct irreducible y-factors d of the denominator, with
-coefficients in k(x).  The sigma decomposition additionally groups the d's
-into sigma_y-orbits, indexing each term by its shift offset from the orbit
-representative; the orbit-summed, shift-aligned numerator at a fixed
-multiplicity is the sigma_y-residue.
+coefficients in k(x).  It is computed fraction-free: the numerators over
+the powers of d are the d-adic digits of the remainder times the inverse
+of d's cofactor, taken modulo d alone, with pseudo-remainders in k[x][y]
+and one y-free denominator at a time.  The sigma decomposition
+additionally groups the d's into sigma_y-orbits, indexing each term by
+its shift offset from the orbit representative; the orbit-summed,
+shift-aligned numerator at a fixed multiplicity is the sigma_y-residue.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import BiPoly, RatFunc, to_y
+from .core import (BiPoly, RatFunc, free_of_gen, from_y, to_pair, to_y,
+                   tree_sum)
 from .factorization import factor
 from .orbits import SHIFT_Y, shift_equivalent
 from .qmodes import y
@@ -45,56 +49,66 @@ class Decomposition:
     terms: Tuple[PfdTerm, ...]
 
     def recompose(self) -> RatFunc:
-        acc = self.poly_part
-        for t in self.terms:
-            acc = acc + t.value()
-        return acc
+        return tree_sum([self.poly_part, *(t.value() for t in self.terms)],
+                        self.poly_part.mode)
 
 
-def _y_factor_split(den: BiPoly):
-    """(scalar, [(d_i, e_i)]) with den = scalar * prod d_i^e_i, the d_i the
-    irreducible factors of positive y-degree and scalar in k[x]."""
-    fac = factor(den)
-    yfactors = [(d, e) for d, e in fac.factors if d.degree(y) >= 1]
-    prod = BiPoly.ground(1, den.mode)
-    for d, e in yfactors:
-        prod = prod * d ** e
-    scalar = den.exact_div(prod)
-    return scalar, yfactors
+def _prem(p, d):
+    """(r, k) with r == lc_y(d)^k * p modulo d and deg_y r < deg_y d, for
+    pair-ring elements (y is the first generator)."""
+    return p.prem(d), max(p.degree() - d.degree() + 1, 0)
 
 
 def partial_fractions(f: RatFunc) -> Decomposition:
     """Unique irreducible partial-fraction decomposition of f in y over
-    k(x)."""
+    k(x).
+
+    It runs in the pair ring k[x][y] with pseudo-remainders; every
+    fraction it keeps has a y-free denominator.  Past the polynomial part,
+    f is rem/(delta*D).  Let d be an irreducible y-factor of multiplicity
+    e, held as P = w*d primitive in k[x][y], and D = P^e * cof.  The
+    numerators over d^e, ..., d are the d-adic digits of the remainder
+    times cof^-1 modulo d^e: each digit is M*cof^-1 mod d for the running
+    M/dl (at first rem/delta), and M then becomes (M - digit*cof)/d, a
+    division that is exact in k[x][y] since P is primitive.  cof^-1 mod d
+    is s/rho with rho free of y: one division in k(x) when deg_y d = 1,
+    else a gcdex modulo d alone (Bronstein, Symbolic Integration I, 2.7;
+    Horowitz 1971)."""
     mode = f.mode
-    D = to_y(f.denom, mode)
-    if D.degree() <= 0:
+    N, D = f.numer, f.denom
+    if free_of_gen(D, 0):
         return Decomposition(f, ())
-    quo, rem = to_y(f.numer, mode).div(D)
-    poly_part = RatFunc.from_y(quo, mode)
+    rem, k = _prem(N, D)
+    delta = D.coeff_wrt(0, D.degree()) ** k
+    poly_part = RatFunc.from_ring((N * delta - rem).exquo(D), delta, mode)
     if not rem:
         return Decomposition(poly_part, ())
-    scalar, yfactors = _y_factor_split(f.den)
-    rem = rem.quo_ground(scalar.y_poly().LC)
-    ypolys = [(d.y_poly(), e) for d, e in yfactors]
     terms = []
-    for i, (d, e) in enumerate(yfactors):
-        Dp = ypolys[i][0]
-        De = Dp ** e
-        cof = D.ring.one
-        for jj, (d2, e2) in enumerate(ypolys):
-            if jj != i:
-                cof = cof * d2 ** e2
-        s, _, h = cof.gcdex(De)
-        # h == 1 since the factors are pairwise coprime over k(x)
-        cur = (rem * s).rem(De)
-        level = 0
-        while level < e and cur:
-            cur, digit = cur.div(Dp)
-            if digit:
-                terms.append(PfdTerm(RatFunc.from_y(digit, mode),
-                                     d, e - level))
-            level += 1
+    for d, e in factor(f.den).factors:
+        if d.free_of(y):
+            continue
+        P, w = to_pair(d.rep, mode)
+        cof, lc = D.exquo(P ** e), P.coeff_wrt(0, P.degree())
+        c, k = _prem(cof, P)  # c == lc^k * cof mod P
+        if P.degree() == 1:
+            s, rho = lc ** k, c
+        else:
+            s, rho = from_y(to_y(c, mode).gcdex(to_y(P, mode))[0], mode)
+            s = s * lc ** k
+        M, dl = rem, delta
+        for j in range(e, 0, -1):
+            r, k1 = _prem(M, P)
+            A, k2 = _prem(r * s, P)
+            beta = rho * lc ** (k1 + k2)  # the digit over P^j is A/(dl*beta)
+            if A:
+                terms.append(PfdTerm(RatFunc.from_ring(
+                    A, dl * beta * w ** j, mode), d, j))
+            if j > 1:
+                red = RatFunc.from_ring((M * beta - A * cof).exquo(P),
+                                        dl * beta, mode)
+                M, dl = red.numer, red.denom
+                if not M:
+                    break
     return Decomposition(poly_part, tuple(terms))
 
 

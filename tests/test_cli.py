@@ -219,6 +219,43 @@ def test_corpus_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_run_corpus_line_verifies_once(monkeypatch):
+    # decide_exact verifies its certificate and raises RatexactError when
+    # the check fails; the corpus runner does not repeat the check
+    import ratexact.cli
+    import ratexact.deciders
+    real = ratexact.deciders.verify_certificate
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ratexact.deciders, "verify_certificate", counting)
+    monkeypatch.setattr(ratexact.cli, "verify_certificate", counting,
+                        raising=False)
+    lines = [line for line in (CORPUS / "cases.txt").read_text().splitlines()
+             if line.strip() and not line.startswith("#")
+             and line.split("|")[3].strip() == "exact"]
+    assert lines
+    for line in lines:
+        calls.clear()
+        ok, detail = run_corpus_line(line)
+        assert ok and detail["outcome"] == "exact"
+        assert len(calls) == 1, line
+
+
+def test_decide_symbolic_q_repeated_y_factors(capsys):
+    # y-factors of multiplicity 2 and 3 over Q(q)(x), one of them
+    # nonlinear in y: partial fractions must not blow up in coefficient size
+    code, out, _ = run_json(
+        capsys, "decide", "--q-symbolic", "--pair", "dqx-dy", "--expr",
+        "(x+2*y+q)/((x+y)*(y+1)*(q*x+y)*(x+y+1)^2*(x+y^2+1)^3)", "--json")
+    assert code == 0
+    assert out["exact"] is False
+    assert out["witness"] == {"den": "y + x", "kind": "mixed_denominator"}
+
+
 def test_run_corpus_line_witness_mismatch():
     ok, _ = run_corpus_line(
         "dx-dy | none | 1/(x+y) | not-exact | non_summable_residue")

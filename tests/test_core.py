@@ -161,11 +161,6 @@ def test_bipoly_canonical():
     assert BiPoly(u, P) * prim == p
 
 
-def test_bipoly_divides():
-    p = BiPoly(x * y - 1, P)
-    assert p.exact_div(p).expr == 1
-
-
 def test_equality_is_semantic():
     f = RatFunc((x ** 2 - y ** 2) / (x - y), P)
     assert f == RatFunc(x + y, P)

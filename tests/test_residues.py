@@ -5,9 +5,9 @@ import random
 
 import sympy as sp
 
-from ratexact import (BiPoly, RatFunc, partial_fractions,
+from ratexact import (BiPoly, RatFunc, parse_ratfunc, partial_fractions,
                       sigma_decomposition, residue_dy, residue_sigma,
-                      plain, transcendental)
+                      plain, rational, root_of_unity, transcendental)
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -40,15 +40,26 @@ def test_partial_fractions_poly_part():
 
 
 def test_partial_fractions_random_recompose():
-    rng = random.Random(5)
-    pool = [y, y + 1, x * y - 1, y + x, y ** 2 + x + 1]
-    for _ in range(25):
-        den = sp.prod([rng.choice(pool)
-                       for _ in range(rng.randint(1, 3))])
-        num = sum(rng.randint(-5, 5) * x ** i * y ** j
-                  for i in range(2) for j in range(3)) + 1
-        f = RatFunc.from_pair(num, den, P)
-        assert partial_fractions(f).recompose() == f
+    # besides recomposing to f, the decomposition meets the conditions
+    # that make it unique: each numerator has y-free denominator and
+    # y-degree below its d's, and each (d, j) appears once
+    for mode in (P, rational(sp.Rational(3, 2)), T, root_of_unity(3)):
+        rng = random.Random(5)
+        qv = "q" if mode.has_q else "2"
+        pool = ["y", "y+1", "x*y-1", "y+x", "y^2+x+1", qv + "*x+y"]
+        for _ in range(12):
+            den = "*".join("(%s)^%d" % (d, rng.randint(1, 3))
+                           for d in rng.sample(pool, rng.randint(1, 3)))
+            num = "+".join("%d*x^%d*y^%d" % (rng.randint(-5, 5), i, j)
+                           for i in range(2) for j in range(4))
+            f = parse_ratfunc("(%s+1+%s*y)/(%s)" % (num, qv, den), mode)
+            dec = partial_fractions(f)
+            assert dec.recompose() == f
+            assert dec.poly_part.den.free_of(y)
+            for t in dec.terms:
+                assert t.num.den.free_of(y)
+                assert t.num.num.degree(y) < t.den.degree(y)
+            assert len({(t.den, t.j) for t in dec.terms}) == len(dec.terms)
 
 
 def test_sigma_decomposition_merges_orbits():
