@@ -24,7 +24,7 @@ storage: ``.expr`` and ``as_expr()`` render exactly the stored canonical
 pair, expanded in x and y.
 """
 
-from math import comb
+from math import comb, gcd, lcm
 
 import sympy as sp
 from sympy import ZZ
@@ -92,16 +92,16 @@ def _normal(n, d):
         return n, d.ring.one
     dom = d.ring.domain
     if dom.is_QQ:
-        cn, cd = n.content(), d.content()
-        r = cn / cd
-        sn = dom(r.numerator) / cn
-        sd = dom(r.denominator) / cd
+        # scale both parts by L/g: L clears every coefficient denominator
+        # and g is the gcd of the cleared numerators, signed as LC(d)
+        coeffs = [*n.itercoeffs(), *d.itercoeffs()]
+        L = lcm(*(c.denominator for c in coeffs))
+        g = gcd(*(c.numerator * (L // c.denominator) for c in coeffs))
         if d.LC < 0:
-            sn, sd = -sn, -sd
-        if sn != dom.one:
-            n = n.mul_ground(sn)
-        if sd != dom.one:
-            d = d.mul_ground(sd)
+            g = -g
+        if L != g:
+            s = dom(L, g)
+            n, d = n.mul_ground(s), d.mul_ground(s)
         return n, d
     u = d.LC
     if u == dom.one:

@@ -8,27 +8,30 @@ Grammar (no implicit multiplication):
     power   ::= atom ('^' unary)?        # right-associative, integer exponent
     atom    ::= INT | 'x' | 'y' | 'q' | '(' expr ')'
 
-Errors carry 1-based line/column positions.
+Exponent literals are at most MAX_EXPONENT.  Errors carry 1-based
+line/column positions.  The parser evaluates into unreduced pairs (n, d)
+of pair-ring elements, such as (a*d + c*b, b*d) for a sum, and reduces
+the result to canonical form once, at the end.
 """
 
 import re
 
 from .core import RatFunc
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, ZeroDenominator
 
 _TOKEN_RE = re.compile(r"\d+|[xyq]|[-+*/^()]|\s+|.")
 
+# the largest exponent literal; a larger one is a syntax error, raised
+# before any power is computed
+MAX_EXPONENT = 10000
 
-def _symbol(name, mode):
-    """x, y or q as a rational function, built from ring elements: a
-    generator of the pair ring, or the value of q as a ground element."""
-    ring = mode.pair_ring()
-    names = [str(s) for s in ring.symbols]
-    if name in names:
-        p = ring.gens[names.index(name)]
-    else:
-        p = ring.ground_new(mode.q_element())
-    return RatFunc.from_ring(p, ring.one, mode)
+
+def _nonzero(p):
+    """p, the numerator of a divisor; no d is ever zero, so the divisor
+    is zero exactly when p is."""
+    if not p:
+        raise ZeroDenominator("division by zero")
+    return p
 
 
 def _tokenize(text):
@@ -55,7 +58,11 @@ class _Parser:
     def __init__(self, text, mode):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.mode = mode
+        ring = self.ring = mode.pair_ring()
+        # x, y and q as pair-ring elements: generators, or q's value
+        self.atoms = {s.name: g for s, g in zip(ring.symbols, ring.gens)}
+        if mode.has_q and "q" not in self.atoms:
+            self.atoms["q"] = ring.ground_new(mode.q_element())
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -78,30 +85,36 @@ class _Parser:
             self.fail("expected %r" % s)
         self.advance()
 
+    # each method below returns a pair (n, d), d != 0
+
     def expr(self):
-        value = self.term()
+        a, b = self.term()
         while self.peek() in ("+", "-"):
             op, _, _ = self.advance()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            c, d = self.term()
+            c = c if op == "+" else -c
+            a, b = (a + c, b) if b == d else (a * d + c * b, b * d)
+        return a, b
 
     def term(self):
-        value = self.unary()
+        a, b = self.unary()
         while self.peek() in ("*", "/"):
             op, _, _ = self.advance()
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+            c, d = self.unary()
+            if op == "/":
+                c, d = d, _nonzero(c)
+            a, b = a * c, b * d
+        return a, b
 
     def unary(self):
         if self.peek() == "-":
             self.advance()
-            return -self.unary()
+            a, b = self.unary()
+            return -a, b
         return self.power()
 
     def power(self):
-        base = self.atom()
+        a, b = self.atom()
         if self.peek() == "^":
             self.advance()
             neg = False
@@ -111,10 +124,16 @@ class _Parser:
             tok = self.peek()
             if tok is None or not tok.isdigit():
                 self.fail("exponent must be an integer")
-            exp, _, _ = self.advance()
-            n = -int(exp) if neg else int(exp)
-            return base ** n
-        return base
+            # lengths first: int() refuses a literal of over 4300 digits
+            if (len(tok.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(tok) > MAX_EXPONENT):
+                self.fail("exponent exceeds %d" % MAX_EXPONENT)
+            self.advance()
+            n = int(tok)
+            if neg and n:
+                a, b = b, _nonzero(a)
+            return (a ** n, b ** n) if n else (self.ring.one,) * 2
+        return a, b
 
     def atom(self):
         tok = self.peek()
@@ -127,12 +146,12 @@ class _Parser:
             return value
         if tok.isdigit():
             self.advance()
-            return RatFunc(int(tok), self.mode)
+            return self.ring(int(tok)), self.ring.one
         if tok in ("x", "y", "q"):
-            if tok == "q" and not self.mode.has_q:
+            if tok not in self.atoms:
                 self.fail("q is not available in this q-mode")
             self.advance()
-            return _symbol(tok, self.mode)
+            return self.atoms[tok], self.ring.one
         self.fail("unexpected token %r" % tok)
 
 
@@ -140,10 +159,11 @@ def parse_ratfunc(text, mode) -> RatFunc:
     """Parse ``text`` into a rational function over the given q-mode.
 
     Raises :class:`ExprSyntaxError` (with position) on malformed input,
-    including use of ``q`` when the q-mode provides none.
+    including use of ``q`` when the q-mode provides none and an exponent
+    above MAX_EXPONENT, and :class:`ZeroDenominator` on division by zero.
     """
     p = _Parser(text, mode)
-    value = p.expr()
+    n, d = p.expr()
     if p.peek() is not None:
         p.fail("unexpected trailing input")
-    return value
+    return RatFunc.from_ring(n, d, mode)

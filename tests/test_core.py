@@ -1,5 +1,6 @@
 """Canonical forms, arithmetic, and operator actions."""
 
+import math
 import os
 import random
 import re
@@ -343,3 +344,50 @@ def test_tree_sum_equals_left_to_right_sum(token, fractions, cancel):
     assert (total.numer, total.denom) == (expected.numer, expected.denom)
     if cancel:
         assert total.is_zero
+
+
+# -- canonical scaling ---------------------------------------------------
+
+def _content_ratio_normal(n, d):
+    """The scaling by the ratio of the two QQ contents, as a reference."""
+    if not n:
+        return n, d.ring.one
+    dom = d.ring.domain
+    cn, cd = n.content(), d.content()
+    r = cn / cd
+    sn, sd = dom(r.numerator) / cn, dom(r.denominator) / cd
+    if d.LC < 0:
+        sn, sd = -sn, -sd
+    return n.mul_ground(sn), d.mul_ground(sd)
+
+
+_coeff = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@pytest.mark.parametrize("mode", [P, T], ids=["QQ[y,x]", "QQ[y,x,q]"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_normal_scaling_is_integer_primitive(mode, data):
+    from ratexact.core import _normal
+    ring = mode.pair_ring()
+    dom = ring.domain
+    monomial = st.tuples(*[st.integers(0, 3)] * ring.ngens)
+
+    def poly(min_size):
+        terms = data.draw(st.dictionaries(monomial, _coeff,
+                                          min_size=min_size, max_size=5))
+        return ring.from_dict({m: dom(c.numerator, c.denominator)
+                               for m, c in terms.items() if c})
+
+    n, d = poly(0), poly(1)
+    if not d:
+        d = ring(data.draw(st.sampled_from([-3, 5])))
+    got = _normal(n, d)
+    assert got == _content_ratio_normal(n, d)
+    gn, gd = got
+    coeffs = [*gn.itercoeffs(), *gd.itercoeffs()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert reduce(math.gcd, (c.numerator for c in coeffs)) == 1
+    assert gd.LC > 0
+    # the same rational function: gn/gd == n/d
+    assert gn * d == n * gd

@@ -4,10 +4,14 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
+import ratexact.core
 from ratexact import (RatFunc, parse_ratfunc, canonical_str,
                       plain, transcendental, rational, root_of_unity)
-from ratexact.errors import ExprSyntaxError
+from ratexact.cli import main
+from ratexact.errors import ExprSyntaxError, ZeroDenominator
+from ratexact.parsing import MAX_EXPONENT
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -69,11 +73,62 @@ def test_q_elaborates_to_mode_value():
 
 
 def test_zero_denominator_rejected():
-    from ratexact.errors import ZeroDenominator
     with pytest.raises(ZeroDenominator):
         parse_ratfunc("1/0", P)
     with pytest.raises(ZeroDenominator):
         parse_ratfunc("x/(y - y)", P)
+
+
+@pytest.mark.parametrize("text, flag", [
+    ("x/(y-y)", None), ("(x-x)^-1", None), ("0^-2", None),
+    ("1/(1/x - 1/x)", None), ("1/(q+1)", "2"), ("x/(q^2 + q + 1)", "3"),
+    ("(q^2 + 1)^-2", "4"), ("(1/0)^0", None)])
+def test_zero_divisor_of_unreduced_pair(text, flag, capsys):
+    # the divisor's pair is never reduced before the test for zero
+    mode = root_of_unity(flag) if flag else P
+    with pytest.raises(ZeroDenominator):
+        parse_ratfunc(text, mode)
+    argv = ["decide", "--pair", "dx-dy", "--expr", text]
+    if flag:
+        argv = ["decide", "--pair", "dqx-dy", "--root-of-unity", flag,
+                "--expr", text]
+    assert main(argv) == 2
+    assert "division by zero" in capsys.readouterr().err
+
+
+def test_zero_to_the_zero_is_one():
+    assert parse_ratfunc("0^0", P) == RatFunc(1, P)
+    assert parse_ratfunc("(x - x)^-0 + y", P) == RatFunc(1 + y, P)
+
+
+def test_exponent_ceiling():
+    f = parse_ratfunc("x^%d" % MAX_EXPONENT, P)
+    assert f == RatFunc(x ** MAX_EXPONENT, P)
+    for text, col in (("x^%d" % (MAX_EXPONENT + 1), 3),
+                      ("1 +\n 2^-0%d" % (MAX_EXPONENT + 1), 5),
+                      ("2^999999999", 3), ("x^" + "9" * 5000, 3)):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_ratfunc(text, P)
+        assert "exponent exceeds" in str(ei.value)
+        assert (ei.value.line, ei.value.col) == (text.count("\n") + 1, col)
+
+
+def test_parse_reduces_once(monkeypatch):
+    # the parser evaluates pairs and reduces only the result
+    num = " + ".join("%d*x^%d*y^%d" % (i + 1, i % 7, i // 7)
+                     for i in range(20))
+    den = " - ".join("(%d*y^%d*x)" % (2 * i + 1, i) for i in range(10))
+    real = ratexact.core._reduce
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ratexact.core, "_reduce", counting)
+    f = parse_ratfunc("(%s)/(%s)" % (num, den), P)
+    assert len(calls) == 1
+    assert len(f.numer.terms()) == 20 and len(f.denom.terms()) == 10
 
 
 def test_print_parse_round_trip():
@@ -123,3 +178,82 @@ def test_round_trip_root_of_unity():
     f = parse_ratfunc("q*x/(y + q)", M)
     s = canonical_str(f)
     assert parse_ratfunc(s, M) == f
+
+
+# -- differential: the parser against the public Expr constructor ------
+
+_DIFF_MODES = {"none": P, "2/3": rational(sp.Rational(2, 3)),
+               "symbolic": T, "zeta:3": root_of_unity(3),
+               "zeta:4": root_of_unity(4)}
+
+
+def _trees(letters, depth=3):
+    """Expression trees: integer and letter leaves; nodes (op, a, b) for
+    op in + - * /, ("neg", a) and ("^", a, n)."""
+    leaf = st.sampled_from([*letters, *letters, 0, 1, 2, 7])
+    if not depth:
+        return leaf
+    sub = _trees(letters, depth - 1)
+    return st.one_of(st.tuples(st.sampled_from("+-*/"), sub, sub),
+                     st.tuples(st.just("^"), sub, st.integers(-3, 3)),
+                     st.tuples(st.just("neg"), sub), leaf)
+
+
+def _text(tree):
+    if not isinstance(tree, tuple):
+        return str(tree)
+    a = _text(tree[1])
+    if isinstance(tree[1], tuple):
+        a = "(%s)" % a
+    if tree[0] == "neg":
+        return "-" + a
+    if tree[0] == "^":
+        return "%s^%d" % (a, tree[2])
+    return "(%s %s %s)" % (_text(tree[1]), tree[0], _text(tree[2]))
+
+
+def _expr(tree, mode, qv):
+    """The sympy expression of tree, with q read as qv; ZeroDenominator
+    where a divisor is zero in mode."""
+    def nonzero(e):
+        if RatFunc(e, mode).is_zero:
+            raise ZeroDenominator("division by zero")
+        return e
+
+    if isinstance(tree, int):
+        return sp.Integer(tree)
+    if isinstance(tree, str):
+        return {"x": x, "y": y, "q": qv}[tree]
+    op, a = tree[0], _expr(tree[1], mode, qv)
+    if op == "neg":
+        return -a
+    if op == "^":
+        return (1 / nonzero(a)) ** -tree[2] if tree[2] < 0 else a ** tree[2]
+    b = _expr(tree[2], mode, qv)
+    if op == "/":
+        return a / nonzero(b)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@pytest.mark.parametrize("token", sorted(_DIFF_MODES))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parser_matches_expr_constructor(token, data):
+    mode = _DIFF_MODES[token]
+    tree = data.draw(_trees("xyq" if mode.has_q else "xy"))
+    if mode.kind == "transcendental":
+        qv = q
+    elif mode.has_q:
+        qv = mode.coeff_domain().to_sympy(mode.q_element())
+    else:
+        qv = None
+    text = _text(tree)
+    try:
+        expected = RatFunc(_expr(tree, mode, qv), mode)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            parse_ratfunc(text, mode)
+        return
+    f = parse_ratfunc(text, mode)
+    assert f == expected, text
+    assert canonical_str(f) == canonical_str(expected), text
