@@ -3,7 +3,8 @@
 Subcommands: decide (exactness + certificate), reduce (the reduced
 forms), residue (single residue extraction), factor, and corpus (batch
 runner over case files).  Exit codes: 0 on success / all cases passing,
-1 on a corpus decision mismatch, 2 on input errors.
+1 on a corpus decision mismatch, 2 on input errors, 3 on an internal
+error (any other exception, reported in one line).
 """
 
 import argparse
@@ -108,19 +109,13 @@ def _terms_json(terms, mode):
 def _cmd_reduce(args):
     mode = _mode_from_args(args)
     f = parse_ratfunc(args.expr, mode)
-    if args.flavor == "hermite":
-        h, terms = hermite_reduce_y(f)
+    if args.flavor in ("hermite", "abramov"):
+        h, terms = (hermite_reduce_y if args.flavor == "hermite"
+                    else abramov_reduce_y)(f)
         payload = {"h": canonical_str(h), "terms": _terms_json(terms, mode)}
-    elif args.flavor == "abramov":
-        h, terms = abramov_reduce_y(f)
-        payload = {"h": canonical_str(h), "terms": _terms_json(terms, mode)}
-    elif args.flavor == "phi-dy":
-        phi = QSHIFT_X if mode.has_q else SHIFT_X
-        rf = phi_dy_reduced_form(f, phi)
-        payload = {"g": canonical_str(rf.g), "h": canonical_str(rf.h),
-                   "terms": _terms_json(rf.terms, mode)}
-    elif args.flavor == "tau-sy":
-        rf = tau_sigma_reduced_form(f)
+    elif args.flavor in ("phi-dy", "tau-sy"):
+        rf = (phi_dy_reduced_form(f, QSHIFT_X if mode.has_q else SHIFT_X)
+              if args.flavor == "phi-dy" else tau_sigma_reduced_form(f))
         payload = {"g": canonical_str(rf.g), "h": canonical_str(rf.h),
                    "terms": _terms_json(rf.terms, mode)}
     else:  # tau-rou
@@ -188,7 +183,7 @@ def _parse_qmode_token(token):
     if token == "symbolic":
         return transcendental()
     if token.startswith("zeta:"):
-        return root_of_unity(int(token[5:]))
+        return root_of_unity(token[5:])
     return rational(token)
 
 
@@ -300,9 +295,14 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (RatexactError, OSError, ValueError) as exc:
+    except (RatexactError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__,
+                                          " ".join(str(exc).splitlines())),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

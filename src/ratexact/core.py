@@ -8,8 +8,10 @@ and Q(zeta_m).  A BiPoly holds an element of k[y, x]
 pair in ``QMode.pair_ring``: that is k[y, x] as well, except over Q(q),
 where the pair is cleared of q-denominators into Q[y, x, q] so that gcds
 run over Q.  All arithmetic, cancellation, shifts and derivatives work on
-the ring elements, and every scalar (an orbit scale, a unit, a power of q)
-is an element of ``QMode.coeff_domain()``.  A sympy ``Expr`` is read only
+the ring elements, as do the reductions in y (``prem_y``, ``inverse_mod``:
+y first, fractions over y-free denominators, never k(x)[y]), and every
+scalar (an orbit scale, a unit, a power of q) is an element of
+``QMode.coeff_domain()``.  A sympy ``Expr`` is read only
 as the input of the public constructors ``BiPoly(expr, mode)`` and
 ``RatFunc(expr, mode)`` (``_from_expr``); the ``Expr`` of a value
 (``.expr``, ``as_expr()``) is built only when something asks for it.
@@ -211,7 +213,11 @@ def _cancelled(n, d, mode):
     if not ring.domain.is_Algebraic:
         return cofactors(n, d, mode)
     # over Q(zeta_m) the gcd is a subresultant PRS in the first generator,
-    # which runs far faster with x first than with y first
+    # which runs far faster with x first than with y first; when d is free
+    # of y, so is h, and the gcd runs on the y-coefficients of n instead
+    if free_of_gen(d, 0) and not (d.is_ground or _coprime(n, d, mode)):
+        h = _content_y(d, n)
+        return n.exquo(h), d.exquo(h)
     xy = x_first(ring)
     n, d = cofactors(swap_gens(n, xy), swap_gens(d, xy), mode)
     return swap_gens(n, ring), swap_gens(d, ring)
@@ -259,15 +265,43 @@ def to_pair(p, mode):
     return (p, ring.one) if p.ring == ring else _clear(p, ring)
 
 
-def to_y(P, mode):
-    """The pair-ring element P as an element of k(x)[y]."""
-    return _collect(P, mode.y_ring())
-
-
 def from_y(Y, mode):
     """(N, L) in the pair ring with N / L == Y for Y in k(x)[y], N and L
     coprime."""
     return _clear(Y, mode.pair_ring())
+
+
+def prem_y(p, d):
+    """(r, m) with r == m*p modulo d, deg_y r < deg_y d and m a power of
+    lc_y(d), for pair-ring elements (y is the first generator)."""
+    k = max(p.degree() - d.degree() + 1, 0)
+    return p.prem(d), d.coeff_wrt(0, d.degree()) ** k
+
+
+def _content_y(*polys):
+    """A gcd of the y-coefficients of the pair-ring elements polys."""
+    g = polys[0].ring.zero
+    for c in (p.coeff_wrt(0, j) for p in polys
+              for j in {m[0] for m in p.itermonoms()}):
+        g = g.gcd(c)
+        if g.is_ground:
+            return g.ring.one
+    return g
+
+
+def inverse_mod(c, P):
+    """(s, rho) with s*c == rho modulo P and rho free of y, for c and P
+    coprime in k(x)[y]: a pseudo-remainder sequence from (P, c) carrying
+    c's cofactor, each step divided by its y-free content."""
+    r1, s1 = prem_y(c, P)
+    r0, s0 = P, P.ring.zero
+    while r1.degree() > 0:
+        m = r1.coeff_wrt(0, r1.degree()) ** (r0.degree() - r1.degree() + 1)
+        quo, rem = r0.pdiv(r1)  # m*r0 == quo*r1 + rem
+        s = s0 * m - quo * s1
+        g = _content_y(rem, s)
+        r0, s0, r1, s1 = r1, s1, rem.exquo(g), s.exquo(g)
+    return s1, r1
 
 
 # -- polynomials ------------------------------------------------------
@@ -327,10 +361,6 @@ class BiPoly:
 
     def free_of(self, var):
         return free_of_gen(self.rep, self.rep.ring.symbols.index(var))
-
-    def y_poly(self):
-        """self as an element of k(x)[y]."""
-        return RatFunc(self, self.mode).y_poly()
 
     def coeff_x(self, i):
         """The coefficient of x^i, a polynomial in y."""
@@ -462,14 +492,6 @@ class RatFunc:
     def from_y(cls, Y, mode):
         """The rational function equal to Y in k(x)[y]."""
         return cls._new(*_normal(*from_y(Y, mode)), mode)
-
-    def y_poly(self):
-        """self as an element of k(x)[y]; the denominator must be free
-        of y."""
-        if not free_of_gen(self.denom, 0):
-            raise ValueError("denominator involves y")
-        mode = self.mode
-        return to_y(self.numer, mode).quo_ground(to_y(self.denom, mode).LC)
 
     @classmethod
     def from_pair(cls, num, den, mode):

@@ -15,6 +15,7 @@ the result to canonical form once, at the end.
 """
 
 import re
+from decimal import Decimal
 
 from .core import RatFunc
 from .errors import ExprSyntaxError, ZeroDenominator
@@ -46,7 +47,7 @@ def _tokenize(text):
                 else:
                     col += 1
             continue
-        if not (s.isdigit() or s in "xyq" or s in "-+*/^()"):
+        if not (s.isdecimal() or s in "xyq" or s in "-+*/^()"):
             raise ExprSyntaxError("unexpected character %r" % s, line, col)
         toks.append((s, line, col))
         col += len(s)
@@ -122,7 +123,7 @@ class _Parser:
                 self.advance()
                 neg = not neg
             tok = self.peek()
-            if tok is None or not tok.isdigit():
+            if tok is None or not tok.isdecimal():
                 self.fail("exponent must be an integer")
             # lengths first: int() refuses a literal of over 4300 digits
             if (len(tok.lstrip("0")) > len(str(MAX_EXPONENT))
@@ -144,9 +145,10 @@ class _Parser:
             value = self.expr()
             self.expect(")")
             return value
-        if tok.isdigit():
+        if tok.isdecimal():
             self.advance()
-            return self.ring(int(tok)), self.ring.one
+            # int() of a str stops at 4300 digits; Decimal has no limit
+            return self.ring(int(Decimal(tok))), self.ring.one
         if tok in ("x", "y", "q"):
             if tok not in self.atoms:
                 self.fail("q is not available in this q-mode")

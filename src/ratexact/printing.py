@@ -8,6 +8,8 @@ unity is printed as `q`, matching what the parser reads back.  Printing
 then parsing is the identity on rational functions.
 """
 
+from decimal import Decimal
+
 from sympy import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -79,8 +81,9 @@ def _term_str(coeff, mon, gens):
             parts.append("%s^%d" % (g, e))
     mag = abs(coeff)
     if not parts or mag != 1:
-        parts.insert(0, str(mag.numerator) if mag.denominator == 1
-                     else "%d/%d" % (mag.numerator, mag.denominator))
+        # Decimal prints an int of any length; str() stops at 4300 digits
+        num, den = Decimal(mag.numerator), Decimal(mag.denominator)
+        parts.insert(0, str(num) if den == 1 else "%s/%s" % (num, den))
     return coeff < 0, "*".join(parts)
 
 

@@ -105,8 +105,9 @@ class QMode:
 
     @lru_cache(maxsize=None)
     def y_ring(self):
-        """k(x)[y] for partial fractions in y; k(x) is built on the pair
-        ring's ground field and its generators after y (x, or x and q)."""
+        """k(x)[y]; k(x) is built on the pair ring's ground field and its
+        generators after y (x, or x and q).  No reduction builds it; the
+        benchmark's setup probe still does."""
         pr = self.pair_ring()
         return PolyRing((y,), pr.domain.frac_field(*pr.symbols[1:]), lex)
 
@@ -132,7 +133,10 @@ def transcendental():
 def rational(value):
     """q specialized to a nonzero rational; 1 and -1 re-route to the
     root-of-unity mode they really are."""
-    value = QQ.convert(sp.Rational(value))
+    try:
+        value = QQ.convert(sp.Rational(value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise QModeMismatch("q must be a rational number") from None
     if value == 0:
         raise QModeMismatch("q must be nonzero")
     if value == 1:
@@ -143,7 +147,10 @@ def rational(value):
 
 
 def root_of_unity(m):
-    m = int(m)
+    try:
+        m = int(m)
+    except (TypeError, ValueError):
+        raise QModeMismatch("root-of-unity order must be an integer") from None
     if m < 1:
         raise QModeMismatch("root-of-unity order must be positive")
     return QMode(ROOT_OF_UNITY, order=m)

@@ -3,23 +3,23 @@ in y, orbit collapse onto a representative denominator, the mixed reduced
 form of an operator pair, and the root-of-unity trace reduction.
 
 Every routine returns certificates alongside residuals and is validated by
-exact recomposition; nothing here is numeric.
+exact recomposition; nothing here is numeric.  The reductions in y keep
+every fraction over a y-free denominator of the pair ring.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
+from math import prod
 from typing import Tuple
 
-from .core import (RatFunc, cofactors, exponent_map, scale_gen, swap_gens,
-                   tree_sum, x_first)
+from .core import (RatFunc, cofactors, exponent_map, inverse_mod, prem_y,
+                   scale_gen, swap_gens, to_pair, tree_sum, x_first)
 from .errors import QModeMismatch, RatexactError
-from .orbits import (DERIV, QSHIFT, QSHIFT_X, QSHIFT_X_DERIV_Y,
-                     QSHIFT_X_SHIFT_Y, SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y,
-                     Pair, group_orbits, joint_equivalent)
+from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
+                     SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
+                     joint_equivalent)
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .residues import PfdTerm, partial_fractions, sigma_decomposition
-
-# the x-operators under their earlier names
-PHI_SHIFT, PHI_QSHIFT = SHIFT_X, QSHIFT_X
 
 
 @dataclass(frozen=True)
@@ -39,75 +39,77 @@ class ReducedForm:
                 + self.residual())
 
 
-def _integrate_y(P):
-    """An antiderivative in y of P in k(x)[y]."""
-    dom = P.ring.domain
-    out = P.ring.zero
-    for (j,), c in P.items():
-        out[(j + 1,)] = dom.quo(c, dom.convert(j + 1))
-    return out
-
-
 def hermite_reduce_y(f: RatFunc):
-    """(h, terms): f = Dy(h) + sum of simple fractions in y.
-
-    Multiplicities are peeled off term by term with a Bezout relation
-    between each irreducible denominator and its y-derivative; the
-    y-polynomial part is absorbed into h by exact integration.
-    """
+    """(h, terms): f = Dy(h) + sum of simple fractions a/d in y.  Each
+    irreducible y-factor d of multiplicity e, held as P = w*d primitive in
+    k[x][y], is lowered from P^e to P by Hermite's Bezout step modulo P
+    (Bronstein, Symbolic Integration I, 2.2): with s*P' == rho and
+    T == a*s/rho modulo P and S = (a - T*P')/P, a/P^j equals
+    Dy(-T/((j-1)*P^(j-1))) + (S + T'/(j-1))/P^(j-1).  Numerators stay over
+    y-free denominators, each level is reduced once, and h is summed
+    times Q = prod P^(e-1), then divided by Q once."""
     mode = f.mode
     dec = partial_fractions(f)
-    h = RatFunc.from_y(_integrate_y(dec.poly_part.y_poly()), mode)
-    simple = {}
-    order = []
-    for t in dec.terms:
-        d = t.den
-        Dp = d.y_poly()
-        gen = Dp.ring.gens[0]
-        dom = Dp.ring.domain
-        dDp = Dp.diff(gen)
-        a = t.num.y_poly()
-        j = t.j
-        if j > 1:
-            vB = Dp.gcdex(dDp)[1]
-        while j > 1:
-            # a = s*d + t*d' with deg t < deg d
-            tB = (a * vB).rem(Dp)
-            sB = (a - tB * dDp).quo(Dp)
-            h = h - RatFunc.from_y(tB, mode) / RatFunc(d ** (j - 1), mode) \
-                / (j - 1)
-            a = sB + tB.diff(gen).quo_ground(dom.convert(j - 1))
-            j -= 1
-        key = next((k for k in order if k == d), None)
-        if key is None:
-            order.append(d)
-            key = d
-        simple[key] = simple.get(key, RatFunc(0, mode)) \
-            + RatFunc.from_y(a, mode)
-    terms = tuple(PfdTerm(simple[d], d, 1) for d in order
-                  if not simple[d].is_zero)
-    return h, terms
+    N, ring = dec.poly_part.numer, f.numer.ring
+    dom, Y = ring.domain, ring.gens[0]
+    poles = [(d, to_pair(d.rep, mode), {t.j: t.num for t in group})
+             for d, group in groupby(dec.terms, key=lambda t: t.den)]
+    Q = prod((P ** (max(digits) - 1) for _, (P, _), digits in poles),
+             start=ring.one)
+    integral = ring.zero
+    for m, c in N.items():
+        integral[(m[0] + 1,) + m[1:]] = dom.quo(c, dom.convert(m[0] + 1))
+    parts = [RatFunc.from_ring(integral * Q, dec.poly_part.denom, mode)]
+    entries = []
+    for d, (P, w), digits in poles:
+        e = max(digits)
+        if e > 1:
+            dP = P.diff(Y)
+            s, rho = inverse_mod(dP, P)
+            cof = Q.exquo(P ** (e - 1))
+        X, Z = ring.zero, ring.one  # the numerator X/Z over P^j
+        for j in range(e, 0, -1):
+            if j in digits:
+                a = digits[j]
+                X, Z = X * a.denom + a.numer * w ** j * Z, Z * a.denom
+            a = RatFunc.from_ring(X, Z, mode)
+            if j == 1:
+                break
+            T, m = prem_y(a.numer * s, P)
+            S = (a.numer * rho * m - T * dP).exquo(P)
+            Z = a.denom * rho * m * (j - 1)
+            parts.append(RatFunc.from_ring(-T * cof * P ** (e - j), Z, mode))
+            X = S * (j - 1) + T.diff(Y)
+        entries.append((RatFunc.from_ring(a.numer, a.denom * w, mode), d, 1))
+    hQ = tree_sum(parts, mode)
+    return (RatFunc.from_ring(hQ.numer, hQ.denom * Q, mode),
+            _collect_terms(entries, mode))
 
 
 def discrete_antiderivative(p: RatFunc) -> RatFunc:
-    """P with P(y+1) - P(y) == p, for p polynomial in y."""
-    poly = p.y_poly()
-    ring, dom = poly.ring, poly.ring.domain
-    gen = ring.gens[0]
-
-    def falling(n):  # y (y-1) ... (y-n+1)
-        acc = ring.one
-        for i in range(n):
-            acc = acc * (gen - i)
-        return acc
-
-    acc = ring.zero
-    while poly:
-        n = poly.degree()
-        c = poly.LC
-        acc = acc + falling(n + 1).mul_ground(dom.quo(c, dom.convert(n + 1)))
-        poly = poly - falling(n).mul_ground(c)
-    return RatFunc.from_y(acc, p.mode)
+    """P with P(y+1) - P(y) == p and P(0) == 0, for p polynomial in y: the
+    y-coefficients of p's numerator go to the falling-factorial basis by
+    synthetic division by y, y-1, ...; digit k over k+1 is P's digit k+1,
+    and P is rebuilt by Horner in Newton form (Gerhard, LNCS 3218, ch. 4)."""
+    N, n = p.numer, p.numer.degree()
+    dom = N.ring.domain
+    cols = {}  # per monomial in x (and q): y-coefficients, highest first
+    for m, c in N.items():
+        cols.setdefault(m[1:], [dom.zero] * (n + 1))[-1 - m[0]] = c
+    out = N.ring.zero
+    for rest, col in cols.items():
+        digits = []
+        for k in range(len(col)):  # divide by y - k
+            for i in range(1, len(col)):
+                col[i] += col[i - 1] * k
+            digits.append(col.pop())
+        big = [dom.zero]  # P's y-coefficients, lowest first
+        for k in range(len(digits) - 1, -1, -1):
+            big[0] += dom.quo(digits[k], dom.convert(k + 1))
+            big = [a - b * k
+                   for a, b in zip([dom.zero] + big, big + [dom.zero])]
+        out.update(((j,) + rest, c) for j, c in enumerate(big) if c)
+    return RatFunc.from_ring(out, p.denom, p.mode)
 
 
 def abramov_reduce_y(f: RatFunc):
@@ -131,17 +133,11 @@ def _collect_terms(entries, mode):
     """PfdTerms a/d^j from the (a, d, j) in entries, the numerators of
     equal (d, j) summed by one tree sum each, in order of first
     appearance; a zero sum is dropped."""
-    keys, nums = [], []
+    groups = {}
     for a, d, j in entries:
-        i = next((i for i, (d2, j2) in enumerate(keys)
-                  if j2 == j and d2 == d), None)
-        if i is None:
-            keys.append((d, j))
-            nums.append([a])
-        else:
-            nums[i].append(a)
+        groups.setdefault((d, j), []).append(a)
     terms = (PfdTerm(tree_sum(ns, mode), d, j)
-             for (d, j), ns in zip(keys, nums))
+             for (d, j), ns in groups.items())
     return tuple(t for t in terms if not t.num.is_zero)
 
 
@@ -168,21 +164,20 @@ def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
 
 
 def _lift_coefficientwise(a: RatFunc, dx):
-    """b in k(x)[y] with dx(b) == a, lifting the univariate summability
-    certificate through each y-coefficient; None when some coefficient is
-    not summable."""
-    mode = a.mode
-    P = a.y_poly()
-    Y = mode.pair_ring().gens[0]
+    """b with dx(b) == a, for a polynomial in y, lifting the univariate
+    summability certificate through each y-coefficient (the numerator's,
+    over the y-free denominator); None when one is not summable."""
+    mode, N = a.mode, a.numer
     parts = []
-    for (j,), c in P.items():
-        res = dx.summable(RatFunc.from_y(P.ring.ground_new(c), mode))
+    for j in sorted({m[0] for m in N.itermonoms()}):
+        res = dx.summable(RatFunc.from_ring(N.coeff_wrt(0, j), a.denom, mode))
         if not res.summable:
             return None
         # the certificate is free of y, so times y^j its pair stays
         # coprime and keeps its scaling
         b = res.certificate
-        parts.append(RatFunc._new(b.numer * Y ** j, b.denom, mode))
+        parts.append(RatFunc._new(b.numer * N.ring.gens[0] ** j, b.denom,
+                                  mode))
     return tree_sum(parts, mode)
 
 
@@ -192,12 +187,9 @@ def _absorb_summable(terms, dx):
 
     Such a term a/d^j equals phi(b/d^j) - b/d^j because phi fixes d;
     moving it out makes the residual vanish on every pure difference."""
-    extra = []
-    rest = []
+    extra, rest = [], []
     for t in terms:
-        b = None
-        if t.den.free_of(x):
-            b = _lift_coefficientwise(t.num, dx)
+        b = _lift_coefficientwise(t.num, dx) if t.den.free_of(x) else None
         if b is None:
             rest.append(t)
         else:
@@ -208,9 +200,7 @@ def _absorb_summable(terms, dx):
 def reduce_y(f: RatFunc, dy):
     """(h, terms) with f = dy(h) + sum of terms: Hermite reduction for
     d/dy, Abramov reduction for the y-shift."""
-    if dy.kind == DERIV:
-        return hermite_reduce_y(f)
-    return abramov_reduce_y(f)
+    return hermite_reduce_y(f) if dy.kind == DERIV else abramov_reduce_y(f)
 
 
 def _reduced_form(f: RatFunc, pair) -> ReducedForm:

@@ -15,8 +15,8 @@ shift-aligned numerator at a fixed multiplicity is the sigma_y-residue.
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import (BiPoly, RatFunc, free_of_gen, from_y, to_pair, to_y,
-                   tree_sum)
+from .core import (BiPoly, RatFunc, free_of_gen, inverse_mod, prem_y,
+                   to_pair, tree_sum)
 from .factorization import factor
 from .orbits import SHIFT_Y, shift_equivalent
 from .qmodes import y
@@ -26,8 +26,8 @@ from .qmodes import y
 class PfdTerm:
     """One simple-fraction term a / sigma_y^ell(d)^j.
 
-    The numerator is stored as a rational function whose denominator is
-    free of y (an element of k(x)[y] with deg_y < deg_y d).
+    The numerator is a pair-ring numerator over a y-free denominator, with
+    deg_y < deg_y d.
     """
 
     num: RatFunc
@@ -35,11 +35,8 @@ class PfdTerm:
     j: int
     ell: int = 0
 
-    def shifted_den(self) -> BiPoly:
-        return self.den.shift(y, self.ell)
-
     def value(self) -> RatFunc:
-        return self.num / RatFunc(self.shifted_den() ** self.j,
+        return self.num / RatFunc(self.den.shift(y, self.ell) ** self.j,
                                   self.num.mode)
 
 
@@ -51,12 +48,6 @@ class Decomposition:
     def recompose(self) -> RatFunc:
         return tree_sum([self.poly_part, *(t.value() for t in self.terms)],
                         self.poly_part.mode)
-
-
-def _prem(p, d):
-    """(r, k) with r == lc_y(d)^k * p modulo d and deg_y r < deg_y d, for
-    pair-ring elements (y is the first generator)."""
-    return p.prem(d), max(p.degree() - d.degree() + 1, 0)
 
 
 def partial_fractions(f: RatFunc) -> Decomposition:
@@ -71,15 +62,13 @@ def partial_fractions(f: RatFunc) -> Decomposition:
     times cof^-1 modulo d^e: each digit is M*cof^-1 mod d for the running
     M/dl (at first rem/delta), and M then becomes (M - digit*cof)/d, a
     division that is exact in k[x][y] since P is primitive.  cof^-1 mod d
-    is s/rho with rho free of y: one division in k(x) when deg_y d = 1,
-    else a gcdex modulo d alone (Bronstein, Symbolic Integration I, 2.7;
-    Horowitz 1971)."""
+    is s/rho with rho free of y, from ``inverse_mod`` (Bronstein, Symbolic
+    Integration I, 2.7; Horowitz 1971)."""
     mode = f.mode
     N, D = f.numer, f.denom
     if free_of_gen(D, 0):
         return Decomposition(f, ())
-    rem, k = _prem(N, D)
-    delta = D.coeff_wrt(0, D.degree()) ** k
+    rem, delta = prem_y(N, D)
     poly_part = RatFunc.from_ring((N * delta - rem).exquo(D), delta, mode)
     if not rem:
         return Decomposition(poly_part, ())
@@ -88,18 +77,13 @@ def partial_fractions(f: RatFunc) -> Decomposition:
         if d.free_of(y):
             continue
         P, w = to_pair(d.rep, mode)
-        cof, lc = D.exquo(P ** e), P.coeff_wrt(0, P.degree())
-        c, k = _prem(cof, P)  # c == lc^k * cof mod P
-        if P.degree() == 1:
-            s, rho = lc ** k, c
-        else:
-            s, rho = from_y(to_y(c, mode).gcdex(to_y(P, mode))[0], mode)
-            s = s * lc ** k
+        cof = D.exquo(P ** e)
+        s, rho = inverse_mod(cof, P)
         M, dl = rem, delta
         for j in range(e, 0, -1):
-            r, k1 = _prem(M, P)
-            A, k2 = _prem(r * s, P)
-            beta = rho * lc ** (k1 + k2)  # the digit over P^j is A/(dl*beta)
+            r, m1 = prem_y(M, P)
+            A, m2 = prem_y(r * s, P)
+            beta = rho * m1 * m2  # the digit over P^j is A/(dl*beta)
             if A:
                 terms.append(PfdTerm(RatFunc.from_ring(
                     A, dl * beta * w ** j, mode), d, j))
@@ -133,29 +117,21 @@ def residue_dy(f: RatFunc, d: BiPoly) -> RatFunc:
     """The numerator over the first power of d in the plain decomposition
     (zero when d is not a simple denominator of f)."""
     u, dcan = d.canonical()
-    dec = partial_fractions(f)
-    for t in dec.terms:
-        if t.j == 1 and t.den == dcan:
-            return t.num.mul_ground(u)
-    return RatFunc(0, f.mode)
+    return next((t.num.mul_ground(u) for t in partial_fractions(f).terms
+                 if t.j == 1 and t.den == dcan), RatFunc(0, f.mode))
 
 
 def residue_sigma(f: RatFunc, d: BiPoly, j: int) -> RatFunc:
     """Sum of sigma_y^(-ell)(a_ell) over the sigma_y-orbit of d at
     multiplicity j (offsets taken relative to d itself)."""
-    mode = f.mode
     u, dcan = d.canonical()
-    dec = sigma_decomposition(f)
-    acc = RatFunc(0, mode)
-    for t in dec.terms:
-        if t.j != j:
-            continue
-        res = shift_equivalent(dcan, t.den, y)
-        if res is None:
-            continue
-        n0, scale0 = res
-        # sigma^n0(dcan) = scale0 * rep; term den sigma^ell(rep) = sigma^(ell+n0)(dcan)/scale0
-        L = t.ell + n0
-        a = t.num.mul_ground((scale0 * u) ** j)
-        acc = acc + a.shift_y(-L)
-    return acc
+    parts = []
+    for t in sigma_decomposition(f).terms:
+        res = shift_equivalent(dcan, t.den, y) if t.j == j else None
+        if res is not None:
+            # sigma^n0(dcan) = scale0 * rep, so the term's denominator
+            # sigma^ell(rep) is sigma^(ell+n0)(dcan)/scale0
+            n0, scale0 = res
+            parts.append(t.num.mul_ground((scale0 * u) ** j)
+                         .shift_y(-t.ell - n0))
+    return tree_sum(parts, f.mode)

@@ -15,6 +15,7 @@ from .errors import QModeMismatch, RatexactError
 from .orbits import QSHIFT_X
 from .qmodes import RATIONAL, TRANSCENDENTAL, y
 from .reductions import abramov_reduce_y
+from .residues import partial_fractions
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,13 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
         return (xf ** j).mul_ground(1 / (qv ** j - 1))
 
     # reuse the y-direction partial fraction machinery on swapped input
-    from .residues import partial_fractions
     dec = partial_fractions(f.swap_xy())
     parts = []  # the terms of the certificate g
     obstruction = []
     # Laurent part: polynomial in x plus poles at x = 0
-    poly = dec.poly_part.y_poly()
-    for (j,), c in poly.items():
-        c = RatFunc.from_y(poly.ring.ground_new(c), mode)
+    N = dec.poly_part.numer
+    for j in sorted({m[0] for m in N.itermonoms()}):
+        c = RatFunc.from_ring(N.coeff_wrt(0, j), dec.poly_part.denom, mode)
         if j == 0:
             obstruction.append((BiPoly.ground(1, mode), 0, c))
         else:

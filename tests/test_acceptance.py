@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import sympy as sp
 
@@ -23,9 +24,8 @@ from ratexact import (RatFunc, BiPoly, decide_exact, verify_certificate,
                       plain, transcendental, root_of_unity)
 from ratexact.deciders import (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y,
                                QSHIFT_X_SHIFT_Y, ROU_DERIV_Y)
-from ratexact.orbits import (shift_equivalent, sigma_equivalent,
+from ratexact.orbits import (SHIFT_X, shift_equivalent, sigma_equivalent,
                              joint_equivalent)
-from ratexact.reductions import PHI_QSHIFT, PHI_SHIFT
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -162,7 +162,7 @@ def test_criterion_4_reduction_recomposition():
     rng = random.Random(33)
     for _ in range(n):
         f = _rand_light(rng, P)
-        rf = phi_dy_reduced_form(f, PHI_SHIFT)
+        rf = phi_dy_reduced_form(f, SHIFT_X)
         assert rf.recompose() == f
         dens = [t.den for t in rf.terms]
         for i in range(len(dens)):
@@ -278,8 +278,9 @@ def test_criterion_7_oracle_agreement():
 
 
 def test_criterion_8_corpus_determinism():
-    cmd = [sys.executable, "-m", "ratexact.cli", "corpus",
-           "corpus/cases.txt", "--json"]
+    cases = Path(__file__).resolve().parent.parent / "corpus" / "cases.txt"
+    cmd = [sys.executable, "-m", "ratexact.cli", "corpus", str(cases),
+           "--json"]
     r1 = subprocess.run(cmd, capture_output=True)
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == 0, r1.stderr.decode()

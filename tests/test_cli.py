@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from ratexact import RatFunc, canonical_str, parse_ratfunc, plain
 from ratexact.cli import main, run_corpus_line
+from ratexact.qmodes import x, y
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -273,6 +275,72 @@ def test_bundled_corpus_deterministic(capsys):
 def test_bundled_corpus_matches_golden(capsys):
     # the committed output of the bundled corpus: decisions, certificates
     # and witnesses must stay byte for byte the same
+    code, out, _ = run(capsys, "corpus", str(CORPUS / "cases.txt"), "--json")
+    assert code == 0
+    assert out.encode() == (CORPUS / "expected.json").read_bytes()
+
+
+def test_integers_of_any_length(capsys):
+    # printing and parsing convert decimal digits in chunks below Python's
+    # 4300-digit limit on int <-> str
+    big = "1" + "0" * 5000
+    code, out, err = run(capsys, "decide", "--pair", "dx-dy", "--expr",
+                         "10^5000/(x*(x+1)*y)")
+    assert code == 0, err
+    assert out.splitlines() == ["exact", "g = (-%s)/(y*x)" % big, "h = 0"]
+    g = parse_ratfunc("(-%s)/(y*x)" % big, plain())
+    assert canonical_str(parse_ratfunc(canonical_str(g), plain())) == \
+        canonical_str(g)
+    assert g * RatFunc.from_pair(1, 10 ** 5000, plain()) == \
+        RatFunc.from_pair(-1, x * y, plain())
+    ok, detail = run_corpus_line("dx-dy | none | 10^5000/(x*(x+1)) | exact")
+    assert ok and detail["outcome"] == "exact"
+    assert detail["h"] == "(%s*y)/(x^2 + x)" % big
+    # a 5000-digit literal and a 5000-digit rational coefficient
+    digits = "7" * 4999 + "3"
+    f = parse_ratfunc("%s*x/%s" % (digits, big), plain())
+    text = canonical_str(f)
+    assert text == "(%s*x)/(%s)" % (digits, big)
+    assert parse_ratfunc(text, plain()) == f
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import ratexact.cli
+
+    def broken(*args):
+        raise ValueError("unexpected\nstate")
+    monkeypatch.setattr(ratexact.cli, "decide_exact", broken)
+    code, out, err = run(capsys, "decide", "--pair", "dx-dy",
+                         "--expr", "1/y")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: unexpected state\n"
+
+
+def test_bad_input_is_exit_2(capsys, tmp_path):
+    # bad input is a RatexactError or an OSError, never an internal error
+    for q in ("abc", "1/0", "7" * 5000):
+        code, _, err = run(capsys, "decide", "--pair", "dqx-dy", "--q", q,
+                           "--expr", "1/(x*y)")
+        assert code == 2 and err.startswith("error: q must be"), q
+    code, _, err = run(capsys, "decide", "--pair", "dx-dy", "--expr", "\u00b2")
+    assert code == 2 and "unexpected character" in err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("dqx-dy | zeta:abc | 1/(x*y) | exact\n")
+    code, _, err = run(capsys, "corpus", str(bad))
+    assert code == 2 and err.startswith("error: root-of-unity order"), err
+    code, _, _ = run(capsys, "corpus", str(CORPUS / "nonexistent.txt"))
+    assert code == 2
+
+
+def test_decision_path_avoids_y_ring(capsys, monkeypatch):
+    # k(x)[y] is off the decision path: the bundled corpus decides to the
+    # golden bytes with QMode.y_ring unusable
+    from ratexact.qmodes import QMode
+
+    def no_y_ring(self):
+        raise AssertionError("k(x)[y] built on the decision path")
+    monkeypatch.setattr(QMode, "y_ring", no_y_ring)
     code, out, _ = run(capsys, "corpus", str(CORPUS / "cases.txt"), "--json")
     assert code == 0
     assert out.encode() == (CORPUS / "expected.json").read_bytes()

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratexact import (BiPoly, RatFunc, ZeroDenominator, QModeMismatch,
-                      plain, rational, root_of_unity, transcendental,
-                      SHIFT_X, QSHIFT_X, DERIV_Y, SHIFT_Y)
-from ratexact.core import tree_sum
+                      parse_ratfunc, plain, rational, root_of_unity,
+                      transcendental, SHIFT_X, QSHIFT_X, DERIV_Y, SHIFT_Y)
+from ratexact.core import free_of_gen, inverse_mod, tree_sum
 from ratexact.qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, q, x, y
 
 P = plain()
@@ -391,3 +391,22 @@ def test_normal_scaling_is_integer_primitive(mode, data):
     assert gd.LC > 0
     # the same rational function: gn/gd == n/d
     assert gn * d == n * gd
+
+
+def test_inverse_mod_over_several_steps():
+    # s*c == rho modulo P with rho nonzero and free of y; for P of y-degree
+    # 3 and 4 the pseudo-remainder sequence takes more than one step
+    rng = random.Random(17)
+    for mode in (P, rational("3/2"), T, root_of_unity(3)):
+        q_term = "q*" if mode.has_q else ""
+        for text in ("(x + 1)*y^3 + %sx*y + 2" % q_term,
+                     "(x - 2)*y^4 + (x^2 + 1)*y^2 - 3*y + x"):
+            Pring = parse_ratfunc(text, mode).numer
+            for _ in range(3):
+                c = parse_ratfunc(" + ".join(
+                    "%d*x^%d*y^%d" % (rng.randint(-5, 5) or 1, i, j)
+                    for i in range(2) for j in range(rng.randint(1, 5))),
+                    mode).numer
+                s, rho = inverse_mod(c, Pring)
+                assert rho and free_of_gen(rho, 0)
+                assert not (s * c - rho).prem(Pring)

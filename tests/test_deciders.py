@@ -66,6 +66,15 @@ def test_shift_deriv_exact_example():
     assert verify_certificate(f, *d.certificate, SHIFT_X_DERIV_Y)
 
 
+def test_high_degree_polynomial_part_exact():
+    # x^300/y = dx(g): the x-summability of x^300 takes the discrete
+    # antiderivative of a polynomial of degree 300
+    f = RatFunc.from_pair(x ** 300, y, P)
+    d = decide_exact(f, SHIFT_X_DERIV_Y)
+    assert d.exact
+    assert verify_certificate(f, *d.certificate, SHIFT_X_DERIV_Y)
+
+
 def _bumped(r, k):
     """r with the coefficient of its k-th numerator monomial raised by 1."""
     ring = r.numer.ring

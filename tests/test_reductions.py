@@ -4,11 +4,13 @@ shifts in y, and the finite-order twist average."""
 import random
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ratexact import (RatFunc, hermite_reduce_y, abramov_reduce_y,
-                      tau_reduced_root_of_unity, plain, transcendental,
-                      root_of_unity)
+                      parse_ratfunc, tau_reduced_root_of_unity, plain,
+                      rational, transcendental, root_of_unity)
 from ratexact.qmodes import q, x, y
+from ratexact.reductions import discrete_antiderivative
 
 P = plain()
 T = transcendental()
@@ -23,35 +25,73 @@ def _residual(terms, mode):
 
 def _check_hermite(f):
     g, terms = hermite_reduce_y(f)
-    r = _residual(terms, f.mode)
-    assert g.deriv_y() + r == f
+    # f == Dy(g) + the terms, cross-multiplied on unreduced pairs: a sum
+    # that cancels would cost a subresultant gcd over Q(zeta_m)
+    gn, gd = g.numer, g.denom
+    Y = gn.ring.gens[0]
+    n, d = gn.diff(Y) * gd - gn * gd.diff(Y), gd ** 2
+    for t in terms:
+        v = t.value()
+        n, d = n * v.denom + v.numer * d, d * v.denom
+    assert n * f.denom == f.numer * d
     # remaining terms are simple poles: multiplicity one each
     assert all(t.j == 1 for t in terms)
-    return g, r
+    return g, terms
 
 
 def test_hermite_classic():
     f = RatFunc.from_pair(1, y ** 2, P)
-    g, r = _check_hermite(f)
+    g, terms = _check_hermite(f)
     assert g == RatFunc.from_pair(-1, y, P)
-    assert r.is_zero
+    assert not terms
 
 
 def test_hermite_leaves_simple_poles():
     f = RatFunc.from_pair(1, y ** 2 * (y + 1), P)
-    g, r = _check_hermite(f)
-    assert not r.is_zero
+    g, terms = _check_hermite(f)
+    assert terms
+
+
+# every q-mode kind; q*y + x has a q-dependent leading coefficient in y,
+# so over Q(q) its primitive pair-ring form is q times the monic factor
+HERMITE_MODES = [plain(), rational("3/2"), transcendental(),
+                 root_of_unity(3), root_of_unity(4)]
+HERMITE_POOL = ["y", "y + 1", "x*y - 1", "y^2 + x + 1", "y + x"]
+HERMITE_POOL_Q = ["q*x + y", "q*y + x"]
 
 
 def test_hermite_random_recompose():
     rng = random.Random(11)
-    pool = [y, y + 1, x * y - 1, y ** 2 + x, y + x]
-    for _ in range(30):
-        den = sp.prod([rng.choice(pool) ** rng.randint(1, 2)
-                       for _ in range(rng.randint(1, 2))])
-        num = 1 + sum(rng.randint(-9, 9) * x ** i * y ** j
-                      for i in range(2) for j in range(2))
-        _check_hermite(RatFunc.from_pair(num, den, P))
+    for mode in HERMITE_MODES:
+        pool = HERMITE_POOL + (HERMITE_POOL_Q if mode.has_q else [])
+        q_term = " + q*y" if mode.has_q else ""
+        dens = ["(q*y + x)^3*(y + 1)^2"] if mode.has_q else []
+        for _ in range(6 if mode.has_q else 30):
+            dens.append("*".join("(%s)^%d" % (rng.choice(pool),
+                                              rng.randint(1, m))
+                                 for m in (4, 2)[:rng.randint(1, 2)]))
+        for den in dens:
+            num = " + ".join("%d*x^%d*y^%d" % (rng.randint(-9, 9), i, j)
+                             for i in range(2) for j in range(3))
+            _check_hermite(parse_ratfunc("(1 + %s%s)/(%s*(x + 2))"
+                                         % (num, q_term, den), mode))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(HERMITE_MODES),
+       coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+       shift=st.integers(1, 5))
+def test_discrete_antiderivative_property(mode, coeffs, shift):
+    # P(y+1) - P(y) == p and P(0) == 0 for p polynomial in y over k(x)
+    q_term = "q*" if mode.has_q else ""
+    terms = " + ".join("%d*%sx^%d*y^%d" % (c, q_term if k % 3 == 1 else "",
+                                           k % 2, k)
+                       for k, c in enumerate(coeffs))
+    p = parse_ratfunc("(%s)/(x + %d)" % (terms, shift), mode)
+    big = discrete_antiderivative(p)
+    assert big.shift_y(1) - big == p
+    assert not big.numer.coeff_wrt(0, 0)
+    assert big.is_polynomial(y)
 
 
 def _check_abramov(f, mode):
