@@ -2,34 +2,33 @@
 actions (shift, q-shift, y-shift and d/dy).
 
 Values are immutable and stored as sparse sympy ring elements
-(``sympy.polys.rings.PolyElement``), for every ground field k = Q, Q(q)
-and Q(zeta_m).  A BiPoly holds an element of k[y, x]
-(``QMode.poly_ring``).  A RatFunc holds a reduced numerator/denominator
-pair in ``QMode.pair_ring``: that is k[y, x] as well, except over Q(q),
-where the pair is cleared of q-denominators into Q[y, x, q] so that gcds
-run over Q.  All arithmetic, cancellation, shifts and derivatives work on
-the ring elements, as do the reductions in y (``prem_y``, ``inverse_mod``:
-y first, fractions over y-free denominators, never k(x)[y]), and every
-scalar (an orbit scale, a unit, a power of q) is an element of
-``QMode.coeff_domain()``.  A sympy ``Expr`` is read only
-as the input of the public constructors ``BiPoly(expr, mode)`` and
-``RatFunc(expr, mode)`` (``_from_expr``); the ``Expr`` of a value
-(``.expr``, ``as_expr()``) is built only when something asks for it.
+(``sympy.polys.rings.PolyElement``) of one ring per q-mode,
+``QMode.pair_ring``: k[y, x] for k = Q and Q(zeta_m), and Q[y, x, q] for
+Q(q), so that gcds run over Q.  A RatFunc holds a reduced pair of it, a
+BiPoly a pair (P, w) with value P/w, w free of y and x (1 outside Q(q);
+``_poly_normal``).  All arithmetic, cancellation, shifts and derivatives
+work on the ring elements, as do the reductions in y (``prem_y``,
+``inverse_mod``: y first, fractions over y-free denominators, never
+k(x)[y]), and every scalar (an orbit scale, a unit, a power of q) is an
+element of ``QMode.coeff_domain()``, moved to and from the pair ring by
+``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only as the
+input of the constructors ``BiPoly(expr, mode)`` and ``RatFunc(expr, mode)``;
+the ``Expr`` of a value (``.expr``, ``as_expr()``) is built when asked for.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair has
 integer coefficients with coprime contents and a positive leading
 denominator coefficient; over Q(zeta_m) the denominator is monic.
 ``BiPoly.canonical()`` splits off a unit so that the primitive part is
-integer-primitive with positive leading coefficient over Q and monic over
-Q(q) and Q(zeta_m).  The canonical form is unchanged by the choice of
-storage: ``.expr`` and ``as_expr()`` render exactly the stored canonical
-pair, expanded in x and y.
+integer-primitive with positive leading coefficient over Q and monic in y
+and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly term by term,
+each coefficient in y and x an element of k.
 """
 
 from math import comb, gcd, lcm
 
 import sympy as sp
 from sympy import ZZ
+from sympy.polys.polyutils import expr_from_dict
 from sympy.polys.galoistools import gf_gcd
 
 from .errors import QModeMismatch, ZeroDenominator
@@ -39,12 +38,6 @@ from .qmodes import TRANSCENDENTAL, x, y
 
 # where the other generators are evaluated in the modular coprimality test
 _EVAL_POINT = 1000003
-
-
-def _from_expr(expr, ring):
-    """(n, d) in ring with n/d == expr, a sympy expression."""
-    num, den = sp.fraction(sp.together(sp.sympify(expr)))
-    return ring.from_expr(num), ring.from_expr(den)
 
 
 def _shift(p, i, n):
@@ -230,45 +223,50 @@ def _reduce(n, d, mode):
     return _normal(*_cancelled(n, d, mode))
 
 
-def _collect(P, ring):
-    """The element of ring equal to P, where ring has the leading
-    generators of P's ring and a fraction field of the others as ground."""
-    k = ring.ngens
-    field = ring.domain.field
+def yx_coeffs(P, w, mode):
+    """{(i, j): c in mode.coeff_domain()} with P/w == sum c*y^i*x^j, for
+    pair-ring elements P and w != 0 free of y and x."""
+    if mode.kind != TRANSCENDENTAL:
+        return dict(P.items())
     groups = {}
     for m, v in P.items():
-        groups.setdefault(m[:k], {})[m[k:]] = v
-    out = ring.zero
-    for m, coeff in groups.items():
-        out[m] = field.new(field.ring.from_dict(coeff))
-    return out
+        groups.setdefault(m[:2], {})[(0, 0) + m[2:]] = v
+    return {m: to_scalar(P.ring.from_dict(c), w, mode)
+            for m, c in groups.items()}
 
 
-def _clear(p, ring):
-    """(N, L) in ring with N / L == p; the inverse of _collect, with the
-    coefficient denominators cleared into L."""
-    common = p.ring.domain.field.ring.one
-    for c in p.itercoeffs():
-        common = common.lcm(c.denom)
-    out = ring.zero
-    for m, c in p.items():
-        for m2, v in (c.numer * common.exquo(c.denom)).items():
-            out[m + m2] = v
-    head = (0,) * p.ring.ngens
-    return out, exponent_map(common, lambda m2: head + m2, ring)
+def lead_yx(P):
+    """The leading coefficient in y and x of the pair-ring element P != 0."""
+    i, j = P.LM[:2]
+    return P.coeff_wrt(0, i).coeff_wrt(1, j)
 
 
-def to_pair(p, mode):
-    """(P, c) in the pair ring with P / c == p for p in the poly ring; over
-    Q(q) this clears the q-denominators."""
+def to_scalar(n, d, mode):
+    """n/d in mode.coeff_domain(), for pair-ring elements n, d != 0 free of
+    y and x."""
+    dom = mode.coeff_domain()
+    if mode.kind != TRANSCENDENTAL:
+        return dom.quo(n.LC, d.LC)
+    return dom.field.new(*(p.set_ring(dom.field.ring) for p in (n, d)))
+
+
+def from_scalar(c, mode):
+    """(n, d), coprime elements of the pair ring free of y and x, with
+    n/d == c for c in mode.coeff_domain()."""
     ring = mode.pair_ring()
-    return (p, ring.one) if p.ring == ring else _clear(p, ring)
+    if mode.kind != TRANSCENDENTAL:
+        return ring.ground_new(c), ring.one
+    return c.numer.set_ring(ring), c.denom.set_ring(ring)
 
 
-def from_y(Y, mode):
-    """(N, L) in the pair ring with N / L == Y for Y in k(x)[y], N and L
-    coprime."""
-    return _clear(Y, mode.pair_ring())
+def _poly_normal(P, w, mode):
+    """The normal pair of P/w, w != 0 free of y and x: (P', w') with w'
+    monic and prime to P', the lcm of the q-denominators of P/w."""
+    if not P:
+        return P, w.ring.one
+    P, w = cofactors(P, w, mode)
+    u = w.LC
+    return (P, w) if u == 1 else (P.quo_ground(u), w.quo_ground(u))
 
 
 def prem_y(p, d):
@@ -310,34 +308,37 @@ def inverse_mod(c, P):
 class BiPoly:
     """A polynomial in k[x, y] (either variable may be absent).
 
-    The value is the ring element ``rep`` of ``mode.poly_ring()`` (k[y, x]
-    with k = Q, Q(q) or Q(zeta_m)); every operation works on it, and the
-    sympy expression ``.expr`` is built from it only when asked for."""
+    The value is rep/w for the normal pair (``rep``, ``w``) of
+    ``mode.pair_ring()`` elements (``_poly_normal``); every operation works
+    on it, and ``.expr`` is built from it only when asked for."""
 
-    __slots__ = ("rep", "mode", "_expr")
+    __slots__ = ("rep", "w", "mode", "_expr")
 
     def __init__(self, expr, mode):
-        # a ground denominator, such as 1/2 or 1/q over Q(q), is allowed
-        n, d = _from_expr(expr, mode.poly_ring())
-        self._init(n.quo_ground(d.LC) if d.is_ground else n.exquo(d), mode)
+        f = RatFunc(expr, mode)  # a denominator such as 2 or q is allowed
+        if not f.is_polynomial():
+            raise ValueError("%s is not a polynomial" % (expr,))
+        self._init(f.numer, f.denom, mode)
 
-    def _init(self, rep, mode):
+    def _init(self, rep, w, mode):
+        rep, w = _poly_normal(rep, w, mode)
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_expr", None)
 
     @classmethod
-    def from_rep(cls, rep, mode):
-        """Wrap an element of mode.poly_ring() (or of mode.pair_ring())."""
-        ring = mode.poly_ring()
+    def from_rep(cls, rep, mode, w=None):
+        """The polynomial rep/w (w free of y and x, default 1)."""
         self = object.__new__(cls)
-        self._init(rep if rep.ring == ring else _collect(rep, ring), mode)
+        self._init(rep, w or rep.ring.one, mode)
         return self
 
     @classmethod
     def ground(cls, c, mode):
-        """The constant polynomial c, for c in mode.coeff_domain()."""
-        return cls.from_rep(mode.poly_ring().ground_new(c), mode)
+        """The constant polynomial c (in mode.coeff_domain(), or an int)."""
+        n, d = from_scalar(mode.coeff_domain().convert(c), mode)
+        return cls.from_rep(n, mode, d)
 
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
@@ -347,7 +348,13 @@ class BiPoly:
     @property
     def expr(self):
         if self._expr is None:
-            object.__setattr__(self, "_expr", self.rep.as_expr())
+            if self.mode.kind == TRANSCENDENTAL:
+                coeffs = yx_coeffs(self.rep, self.w, self.mode)
+                e = expr_from_dict({m: c.as_expr() for m, c in coeffs.items()},
+                                   y, x)
+            else:
+                e = self.rep.as_expr()
+            object.__setattr__(self, "_expr", e)
         return self._expr
 
     @property
@@ -367,45 +374,48 @@ class BiPoly:
         return self._new(self.rep.coeff_wrt(1, i))
 
     def swap_xy(self):
-        return self._new(exponent_map(self.rep, lambda m: (m[1], m[0])))
+        return self._new(exponent_map(self.rep,
+                                      lambda m: (m[1], m[0]) + m[2:]))
 
     # -- arithmetic ----------------------------------------------------
 
     def _lift(self, other):
-        if isinstance(other, BiPoly):
-            return other.rep
-        ring = self.rep.ring
-        if ring.domain.of_type(other):  # a ground element, such as a scale
-            return ring.ground_new(other)
-        return BiPoly(other, self.mode).rep
+        if not isinstance(other, BiPoly):
+            other = (BiPoly.ground(other, self.mode)
+                     if self.mode.coeff_domain().of_type(other)  # a scale
+                     else BiPoly(other, self.mode))
+        return other.rep, other.w
 
-    def _new(self, rep):
-        return BiPoly.from_rep(rep, self.mode)
+    def _new(self, rep, w=None):
+        return BiPoly.from_rep(rep, self.mode, w or self.w)
 
     def __add__(self, other):
-        return self._new(self.rep + self._lift(other))
+        P, w = self._lift(other)
+        return self._new(self.rep * w + P * self.w, self.w * w)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._new(self.rep - self._lift(other))
+        P, w = self._lift(other)
+        return self._new(self.rep * w - P * self.w, self.w * w)
 
     def __neg__(self):
         return self._new(-self.rep)
 
     def __mul__(self, other):
-        return self._new(self.rep * self._lift(other))
+        P, w = self._lift(other)
+        return self._new(self.rep * P, self.w * w)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return self._new(self.rep ** int(n))
+        return self._new(self.rep ** int(n), self.w ** int(n))
 
     def __eq__(self, other):
-        return self.rep == self._lift(other)
+        return (self.rep, self.w) == self._lift(other)
 
     def __hash__(self):
-        return hash(self.rep)
+        return hash((self.rep, self.w))
 
     def __repr__(self):
         return "BiPoly(%s)" % self.expr
@@ -415,17 +425,15 @@ class BiPoly:
     def canonical(self):
         """(unit, primitive) with self = unit * primitive; the unit is an
         element of mode.coeff_domain()."""
-        dom = self.rep.ring.domain
+        P, dom = self.rep, self.mode.coeff_domain()
         if self.is_zero:
             return dom.one, self
-        if dom.is_QQ:
-            # integer-primitive with positive leading coefficient
-            u = self.rep.content()
-            if self.rep.LC < 0:
-                u = -u
-        else:
-            u = self.rep.LC
-        return u, (self if u == dom.one else self._new(self.rep.quo_ground(u)))
+        if dom.is_QQ:  # integer-primitive with positive leading coefficient
+            u = P.content() if P.LC > 0 else -P.content()
+            return u, (self if u == 1 else self._new(P.quo_ground(u)))
+        lead = lead_yx(P)  # monic in y and x
+        u = to_scalar(lead, self.w, self.mode)
+        return u, (self if u == dom.one else self._new(P, lead))
 
     # -- operator actions ---------------------------------------------
 
@@ -434,8 +442,11 @@ class BiPoly:
                                 int(n)))
 
     def qshift_x(self, n):
-        return self._new(scale_gen(self.rep, 1,
-                                   self.mode.q_element() ** int(n)))
+        if self.mode.kind == TRANSCENDENTAL:
+            f = RatFunc(self, self.mode).qshift_x(n)
+            return self._new(f.numer, f.denom)
+        c = self.mode.q_element() ** int(n)
+        return self._new(scale_gen(self.rep, 1, c))
 
 
 # -- rational functions -----------------------------------------------
@@ -445,14 +456,12 @@ class RatFunc:
     """A rational function in k(x, y).
 
     The value is the canonical reduced pair (``numer``, ``denom``) of
-    ``mode.pair_ring()`` elements: k[y, x] over Q and Q(zeta_m), and
-    Q[y, x, q] (cleared of q-denominators) over Q(q).  Arithmetic cancels
-    with the ring gcd and rescales to the canonical form; shifts and
-    q-shifts map canonical pairs to canonical pairs without a gcd.
-    ``num``/``den`` give the pair as BiPolys and ``as_expr()`` as a sympy
-    expression, both built only when asked for."""
+    ``mode.pair_ring()`` elements.  Arithmetic cancels with the ring gcd
+    and rescales to the canonical form; shifts and q-shifts map canonical
+    pairs to canonical pairs without a gcd.  ``num``/``den`` give the pair
+    as BiPolys and ``as_expr()`` as a sympy expression."""
 
-    __slots__ = ("numer", "denom", "mode", "_num", "_den")
+    __slots__ = ("numer", "denom", "mode")
 
     def __init__(self, expr, mode):
         ring = mode.pair_ring()
@@ -461,17 +470,16 @@ class RatFunc:
         elif isinstance(expr, int):
             n, d = _normal(ring(expr), ring.one)
         elif isinstance(expr, BiPoly):
-            n, d = _reduce(*to_pair(expr.rep, mode), mode)
+            n, d = _reduce(expr.rep, expr.w, mode)
         else:
-            n, d = _reduce(*_from_expr(expr, ring), mode)
+            n, d = sp.fraction(sp.together(sp.sympify(expr)))
+            n, d = _reduce(ring.from_expr(n), ring.from_expr(d), mode)
         self._init(n, d, mode)
 
     def _init(self, n, d, mode):
         object.__setattr__(self, "numer", n)
         object.__setattr__(self, "denom", d)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_num", None)
-        object.__setattr__(self, "_den", None)
 
     @classmethod
     def _new(cls, n, d, mode):
@@ -490,8 +498,8 @@ class RatFunc:
 
     @classmethod
     def from_y(cls, Y, mode):
-        """The rational function equal to Y in k(x)[y]."""
-        return cls._new(*_normal(*from_y(Y, mode)), mode)
+        """The rational function equal to Y in k(x)[y] (``QMode.y_ring``)."""
+        return cls(Y.as_expr(), mode)
 
     @classmethod
     def from_pair(cls, num, den, mode):
@@ -502,17 +510,11 @@ class RatFunc:
 
     @property
     def num(self):
-        if self._num is None:
-            object.__setattr__(self, "_num",
-                               BiPoly.from_rep(self.numer, self.mode))
-        return self._num
+        return BiPoly.from_rep(self.numer, self.mode)
 
     @property
     def den(self):
-        if self._den is None:
-            object.__setattr__(self, "_den",
-                               BiPoly.from_rep(self.denom, self.mode))
-        return self._den
+        return BiPoly.from_rep(self.denom, self.mode)
 
     def as_expr(self):
         return self.numer.as_expr() / self.denom.as_expr()
@@ -580,8 +582,7 @@ class RatFunc:
 
     def mul_ground(self, c):
         """self * c for c in mode.coeff_domain()."""
-        mode = self.mode
-        return self._times(*to_pair(mode.poly_ring().ground_new(c), mode))
+        return self._times(*from_scalar(c, self.mode))
 
     def __truediv__(self, other):
         other = self._lift(other)

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from sympy import QQ
 
-from .core import BiPoly, RatFunc, is_difference, to_pair
+from .core import BiPoly, RatFunc, is_difference, yx_coeffs
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
                      ROU_SHIFT_Y, SHIFT_X_DERIV_Y, Pair)
@@ -220,32 +220,28 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
             for cand, mult in _hull_candidates(factors, dy, R):
                 den_h = den_h * cand ** mult
 
-    ring = mode.poly_ring()
+    ring = mode.pair_ring()
 
     def _monoms(den):
-        bound = D + max(sum(m) for m in den.rep.itermonoms())
-        return [ring({(j, i): 1})
+        bound = D + max(sum(m[:2]) for m in den.rep.itermonoms())
+        return [BiPoly.from_rep(ring.gens[0] ** j * ring.gens[1] ** i, mode)
                 for i in range(bound + 1) for j in range(bound + 1 - i)]
 
-    def _over(p, den):
-        n, c = to_pair(p, mode)
-        d, e = to_pair(den.rep, mode)
-        return RatFunc.from_ring(n * e, c * d, mode)
-
     monoms_g, monoms_h = _monoms(den_g), _monoms(den_h)
-    basis = [dx.delta(_over(mu, den_g)) for mu in monoms_g]
-    basis += [dy.delta(_over(mu, den_h)) for mu in monoms_h]
+    over_g, over_h = RatFunc(den_g, mode), RatFunc(den_h, mode)
+    basis = [dx.delta(RatFunc(mu, mode) / over_g) for mu in monoms_g]
+    basis += [dy.delta(RatFunc(mu, mode) / over_h) for mu in monoms_h]
 
     # clear a common denominator across the basis and f; the entries
     # share a few denominators, so the lcm takes each distinct one once
-    L = mode.pair_ring().one
+    L = ring.one
     for d in dict.fromkeys(r.denom for r in basis + [f]):
         L = L.lcm(d)
-    cleared = [BiPoly.from_rep(r.numer * L.exquo(r.denom), mode).rep
+    cleared = [yx_coeffs(r.numer * L.exquo(r.denom), ring.one, mode)
                for r in basis + [f]]
 
-    K = ring.domain
-    support = sorted(set().union(*(p.keys() for p in cleared)))
+    K = mode.coeff_domain()
+    support = sorted(set().union(*cleared))
     rows = [[p.get(mon, K.zero) for p in cleared] for mon in support]
 
     if mode.kind == TRANSCENDENTAL:
@@ -261,11 +257,11 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     sol = _solve_linear(rows, len(basis), K)
     if sol is None:
         return None
-    ng = len(monoms_g)
-    g = _over(sum((mu.mul_ground(c) for mu, c in zip(monoms_g, sol)),
-                  ring.zero), den_g)
-    h = _over(sum((mu.mul_ground(c) for mu, c in zip(monoms_h, sol[ng:])),
-                  ring.zero), den_h)
+    ng, zero = len(monoms_g), BiPoly.ground(0, mode)
+    g, h = (RatFunc(sum((mu * c for mu, c in zip(monoms, coeffs) if c), zero),
+                    mode) / den
+            for monoms, coeffs, den in ((monoms_g, sol[:ng], over_g),
+                                        (monoms_h, sol[ng:], over_h)))
     if not verify_certificate(f, g, h, pair):  # pragma: no cover
         raise RatexactError("oracle certificate failed verification")
     return g, h

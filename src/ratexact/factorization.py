@@ -11,7 +11,7 @@ from typing import Tuple
 
 import sympy as sp
 
-from .core import BiPoly, to_pair
+from .core import BiPoly, to_scalar
 from .errors import RatexactError, ZeroPolynomial
 
 
@@ -42,17 +42,14 @@ def factor(p: BiPoly) -> Factorization:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    mode = p.mode
+    mode, P = p.mode, p.rep
     # over Q(q) the factorization runs in Q[y, x, q], where q-factors are
     # units of Q(q)
-    P, common = to_pair(p.rep, mode)
     try:
         const, raw = P.factor_list()
     except (sp.PolynomialError, sp.polys.polyerrors.DomainError) as exc:
         raise RatexactError(str(exc)) from exc
-    dom = p.rep.ring.domain
-    unit = dom.quo(dom.convert(const, P.ring.domain),
-                   BiPoly.from_rep(common, mode).rep.LC)
+    unit = to_scalar(P.ring.ground_new(const), p.w, mode)
     factors = []
     for f, mult in raw:
         u, prim = BiPoly.from_rep(f, mode).canonical()

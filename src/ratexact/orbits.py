@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .core import BiPoly
+from .core import BiPoly, lead_yx, to_scalar
 from .errors import QModeMismatch
 from .qmodes import PLAIN, RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
 
@@ -28,11 +28,16 @@ class OrbitWitness:
 
 
 def _ground_ratio(a, b):
-    """s in k with a == s * b, or None (b nonzero)."""
-    if len(a) != len(b):
-        return None
-    s = a.ring.domain.quo(a.LC, b.LC)
-    return s if a == b.mul_ground(s) else None
+    """(la, lb), the leading coefficients in y and x of the pair-ring
+    elements a, b != 0, when a*lb == b*la (a == la/lb * b), else None."""
+    la, lb = lead_yx(a), lead_yx(b)
+    return (la, lb) if a * lb == b * la else None
+
+
+def _associate(p, p2):
+    """s in k with p == s * p2, or None."""
+    lead = _ground_ratio(p.rep, p2.rep)
+    return lead and to_scalar(lead[0] * p2.w, lead[1] * p.w, p.mode)
 
 
 def _rational(c, dom):
@@ -58,24 +63,25 @@ def shift_equivalent(p: BiPoly, p2: BiPoly, var):
     if d != b.degree(i):
         return None
     if d <= 0:
-        s = _ground_ratio(a, b)
+        s = _associate(p, p2)
         return None if s is None else (0, s)
-    ca, cb = a.coeff_wrt(i, d), b.coeff_wrt(i, d)
-    s = _ground_ratio(ca, cb)
-    if s is None:
+    ca = a.coeff_wrt(i, d)
+    lead = _ground_ratio(ca, b.coeff_wrt(i, d))
+    if lead is None:
         return None
-    # shift_var^n(p) == s * p2 forces c_{d-1}(p) + n*d*c_d(p) == s*c_{d-1}(p2)
-    r = b.coeff_wrt(i, d - 1).mul_ground(s) - a.coeff_wrt(i, d - 1)
+    la, lb = lead
+    # shift_var^n(p) == s * p2 forces c_{d-1}(p) + n*d*c_d(p) == s*c_{d-1}(p2),
+    # which is la*c_{d-1}(b) - lb*c_{d-1}(a) == n*d*lb*c_d(a) on the reps
+    r = b.coeff_wrt(i, d - 1) * la - a.coeff_wrt(i, d - 1) * lb
     n = 0
     if r:
-        t = _ground_ratio(r, ca)
-        t = None if t is None else _rational(t, a.ring.domain)
+        t = _ground_ratio(r, ca * lb)
+        t = t and _rational(to_scalar(*t, p.mode), p.mode.coeff_domain())
         if t is None or t.denominator != 1 or t.numerator % d:
             return None
         n = t.numerator // d
-    if p.shift(var, n).rep == b.mul_ground(s):
-        return n, s
-    return None
+    s = _associate(p.shift(var, n), p2)
+    return None if s is None else (n, s)
 
 
 def sigma_equivalent(p: BiPoly, p2: BiPoly):
@@ -137,20 +143,19 @@ def q_equivalent(p: BiPoly, p2: BiPoly):
     sup = _x_support(p)
     if sup != _x_support(p2):
         return None
-    ratios = {}
-    for i in sup:
-        r = _ground_ratio(p2.rep.coeff_wrt(1, i), p.rep.coeff_wrt(1, i))
-        if r is None:
-            return None
-        ratios[i] = r
     m = 0
     if len(sup) > 1:
-        i0, i1 = sup[0], sup[1]
-        dom = p.rep.ring.domain
-        m = _solve_q_power(dom.quo(ratios[i1], ratios[i0]), i1 - i0, mode)
+        # x-coefficient i of p2 is n_i*p.w/(d_i*p2.w) times that of p
+        leads = [_ground_ratio(p2.rep.coeff_wrt(1, i), p.rep.coeff_wrt(1, i))
+                 for i in sup[:2]]
+        if None in leads:
+            return None
+        (n0, d0), (n1, d1) = leads
+        m = _solve_q_power(to_scalar(n1 * d0, d1 * n0, mode), sup[1] - sup[0],
+                           mode)
         if m is None:
             return None
-    s = _ground_ratio(p.qshift_x(m).rep, p2.rep)
+    s = _associate(p.qshift_x(m), p2)
     return None if s is None else (m, s)
 
 
@@ -182,7 +187,7 @@ def joint_equivalent(p: BiPoly, p2: BiPoly):
     if res is None:
         return None
     m, s = res
-    if p.qshift_x(m).shift(y, n).rep == p2.rep.mul_ground(s):
+    if p.qshift_x(m).shift(y, n) == p2 * s:
         return OrbitWitness(m, n, s)
     return None  # pragma: no cover - candidate always verifies or None earlier
 

@@ -13,7 +13,7 @@ from math import prod
 from typing import Tuple
 
 from .core import (RatFunc, cofactors, exponent_map, inverse_mod, prem_y,
-                   scale_gen, swap_gens, to_pair, tree_sum, x_first)
+                   scale_gen, swap_gens, tree_sum, x_first)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
                      SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
@@ -52,7 +52,7 @@ def hermite_reduce_y(f: RatFunc):
     dec = partial_fractions(f)
     N, ring = dec.poly_part.numer, f.numer.ring
     dom, Y = ring.domain, ring.gens[0]
-    poles = [(d, to_pair(d.rep, mode), {t.j: t.num for t in group})
+    poles = [(d, (d.rep, d.w), {t.j: t.num for t in group})
              for d, group in groupby(dec.terms, key=lambda t: t.den)]
     Q = prod((P ** (max(digits) - 1) for _, (P, _), digits in poles),
              start=ring.one)

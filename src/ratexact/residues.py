@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .core import (BiPoly, RatFunc, free_of_gen, inverse_mod, prem_y,
-                   to_pair, tree_sum)
+                   tree_sum)
 from .factorization import factor
 from .orbits import SHIFT_Y, shift_equivalent
 from .qmodes import y
@@ -76,7 +76,7 @@ def partial_fractions(f: RatFunc) -> Decomposition:
     for d, e in factor(f.den).factors:
         if d.free_of(y):
             continue
-        P, w = to_pair(d.rep, mode)
+        P, w = d.rep, d.w
         cof = D.exquo(P ** e)
         s, rho = inverse_mod(cof, P)
         M, dl = rem, delta

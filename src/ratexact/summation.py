@@ -12,9 +12,9 @@ from typing import Optional, Tuple
 
 from .core import BiPoly, RatFunc, is_difference, tree_sum
 from .errors import QModeMismatch, RatexactError
-from .orbits import QSHIFT_X
+from .orbits import QSHIFT_X, SHIFT_Y
 from .qmodes import RATIONAL, TRANSCENDENTAL, y
-from .reductions import abramov_reduce_y
+from .reductions import abramov_reduce_y, orbit_collapse
 from .residues import partial_fractions
 
 
@@ -87,11 +87,10 @@ def q_summable_x(f: RatFunc) -> SummabilityResult:
             if d not in members:
                 continue
             m, scale = members[d]
-            A = a.mul_ground(scale ** j)
-            denj = RatFunc(rep ** j, mode)
-            parts.extend(A.qshift_x(t_ - m) / denj.qshift_x(t_)
-                         for t_ in range(m))
-            buckets.setdefault(j, []).append(A.qshift_x(-m))
+            u, _, collapsed = orbit_collapse(a.mul_ground(scale ** j), rep,
+                                             j, m, 0, QSHIFT_X, SHIFT_Y)
+            parts.append(u)
+            buckets.setdefault(j, []).append(collapsed.num)
         for j, res in sorted(buckets.items()):
             res = tree_sum(res, mode)
             if not res.is_zero:

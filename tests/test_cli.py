@@ -334,13 +334,22 @@ def test_bad_input_is_exit_2(capsys, tmp_path):
 
 
 def test_decision_path_avoids_y_ring(capsys, monkeypatch):
-    # k(x)[y] is off the decision path: the bundled corpus decides to the
-    # golden bytes with QMode.y_ring unusable
+    # one ring per q-mode: k(x)[y] and Q(q)[y, x] are off the decision
+    # path, so the bundled corpus decides to the golden bytes, and a
+    # factorization over Q(q) runs, with QMode.y_ring and QMode.poly_ring
+    # unusable
     from ratexact.qmodes import QMode
 
-    def no_y_ring(self):
-        raise AssertionError("k(x)[y] built on the decision path")
-    monkeypatch.setattr(QMode, "y_ring", no_y_ring)
+    def unusable(self):
+        raise AssertionError("a second ring built on the decision path")
+    monkeypatch.setattr(QMode, "y_ring", unusable)
+    monkeypatch.setattr(QMode, "poly_ring", unusable)
     code, out, _ = run(capsys, "corpus", str(CORPUS / "cases.txt"), "--json")
     assert code == 0
     assert out.encode() == (CORPUS / "expected.json").read_bytes()
+    code, out, _ = run_json(capsys, "factor", "--q-symbolic", "--expr",
+                            "(q*x*y - 1)*(x + q*y)*(q^2*x - 1)", "--json")
+    assert code == 0
+    assert out["factors"] == [["(x*q^2 - 1)/(q^2)", 1], ["(y*q + x)/(q)", 1],
+                              ["(y*x*q - 1)/(q)", 1]]
+    assert out["unit"] == "q^4"

@@ -222,6 +222,42 @@ def test_brute_force_agrees_on_examples():
             assert verify_certificate(f, *found, pair)
 
 
+def test_brute_force_agrees_with_decider_on_all_pairs():
+    # seeded exact inputs dx(g) + dy(h), g = a/((x + b)*y) and h = e/y, have
+    # certificates inside the oracle's radius 1 and degree 0 bounds, and
+    # adding the non-exact 1/((x - 1)*y) keeps them in; the oracle and the
+    # decider agree both ways
+    from ratexact import phi_dy_reduced_form, tau_sigma_reduced_form
+    R23 = rational(sp.Rational(2, 3))
+    rng = random.Random(12)
+    combos = ((R23, SHIFT_X_DERIV_Y), (R23, QSHIFT_X_DERIV_Y),
+              (R23, QSHIFT_X_SHIFT_Y), (T, QSHIFT_X_DERIV_Y),
+              (T, QSHIFT_X_SHIFT_Y), (root_of_unity(3), ROU_DERIV_Y),
+              (root_of_unity(4), ROU_SHIFT_Y))
+    for mode, pair in combos:
+        a, e = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2))
+        # over Q(zeta_m) the orbit of x - 1 holds m factors: keep g's to x
+        b = 0 if pair in (ROU_DERIV_Y, ROU_SHIFT_Y) else rng.choice((-1, 0))
+        g = RatFunc(sp.Integer(a) / ((x + b) * y), mode)
+        h = RatFunc(sp.Integer(e) / y, mode)
+        exact = pair.dx.delta(g) + pair.dy.delta(h)
+        for f in (exact, exact + RatFunc(1 / ((x - 1) * y), mode)):
+            found = brute_force_exact(f, pair, R=1, D=0)
+            decided = decide_exact(f, pair)
+            assert (found is not None) == decided.exact == (f == exact), \
+                (mode.describe(), pair.name)
+            if found is not None:
+                assert verify_certificate(f, *found, pair)
+            if decided.exact or pair in (ROU_DERIV_Y, ROU_SHIFT_Y):
+                continue
+            rf = (tau_sigma_reduced_form(f) if pair == QSHIFT_X_SHIFT_Y
+                  else phi_dy_reduced_form(f, pair.dx))
+            assert rf.recompose() == f
+            w = decided.witness
+            assert isinstance(w, NonSummableResidue)
+            assert not pair.dx.summable(w.residue).summable
+
+
 def test_pair_strings_rejected():
     f = RatFunc.from_pair(1, x * (x + 1) * y, P)
     zero = RatFunc(0, P)

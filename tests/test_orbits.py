@@ -54,9 +54,8 @@ def test_q_equivalent_symbolic():
     assert res is not None
     m, scale = res
     assert m == 2
-    X = a.rep.ring.gens[1]
-    qx = X.mul_ground(T.q_element() ** m)
-    assert (a.rep.compose(X, qx) - b.rep.mul_ground(scale)).is_zero
+    s = T.coeff_domain().to_sympy(scale)
+    assert sp.cancel(a.expr.subs(x, q ** m * x) - s * b.expr) == 0
 
 
 def test_q_inequivalent_symbolic():
@@ -105,10 +104,9 @@ def test_joint_equivalent():
     res = joint_equivalent(a, b)
     assert res is not None
     assert (res.m, res.n) == (3, -2)
-    Y, X = a.rep.ring.gens
-    qx = X.mul_ground(T.q_element() ** res.m)
-    assert a.rep.compose([(X, qx), (Y, Y + res.n)]) \
-        == b.rep.mul_ground(res.scale)
+    s = T.coeff_domain().to_sympy(res.scale)
+    assert sp.cancel(a.expr.subs(x, q ** res.m * x).subs(y, y + res.n)
+                     - s * b.expr) == 0
 
 
 def test_joint_inequivalent():
