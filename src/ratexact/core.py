@@ -24,10 +24,11 @@ and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly term by term,
 each coefficient in y and x an element of k.
 """
 
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import sympy as sp
 from sympy import ZZ
+from sympy.polys.densetools import dup_shift
 from sympy.polys.polyutils import expr_from_dict
 from sympy.polys.galoistools import gf_gcd
 
@@ -40,18 +41,26 @@ from .qmodes import TRANSCENDENTAL, x, y
 _EVAL_POINT = 1000003
 
 
-def _shift(p, i, n):
-    """p with generator i replaced by (generator i) + n (Taylor shift)."""
+def shift_gen(p, i, n):
+    """p with generator i replaced by (generator i) + n (Taylor shift): the
+    terms are grouped by their other exponents, and each group's dense
+    coefficient list in generator i is shifted by ``dup_shift``."""
     if not n or not p:
         return p
-    acc = {}
-    zero = p.ring.domain.zero
+    dom = p.ring.domain
+    groups = {}
     for m, c in p.items():
-        e = m[i]
-        for k in range(e + 1):
-            mk = m[:i] + (k,) + m[i + 1:]
-            acc[mk] = acc.get(mk, zero) + c * (comb(e, k) * n ** (e - k))
-    return p.ring.from_dict(acc)
+        groups.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
+    a, out = dom(n), {}
+    for rest, col in groups.items():
+        top = max(col)
+        dense = ([col[0]] if not top  # a group free of generator i stays
+                 else dup_shift([col.get(e, dom.zero)
+                                 for e in range(top, -1, -1)], a, dom))
+        for k, c in enumerate(reversed(dense)):
+            if c:
+                out[rest[:i] + (k,) + rest[i:]] = c
+    return p.ring.from_dict(out)
 
 
 def scale_gen(p, i, c):
@@ -73,6 +82,15 @@ def exponent_map(p, f, ring=None):
     for m, c in p.items():
         out[f(m)] = c
     return out
+
+
+def qshift_q(n, *polys):
+    """The elements polys of Q[y, x, q] (the pair ring over Q(q)) with
+    x -> q^n x, divided by the largest power q^low (low may be negative)
+    that leaves them all polynomials: x^b q^c -> x^b q^(c + n*b - low)."""
+    low = min(m[2] + n * m[1] for p in polys for m in p.itermonoms())
+    return [exponent_map(p, lambda m: (m[0], m[1], m[2] + n * m[1] - low))
+            for p in polys]
 
 
 def free_of_gen(p, i):
@@ -216,6 +234,11 @@ def _cancelled(n, d, mode):
     return swap_gens(n, ring), swap_gens(d, ring)
 
 
+def ring_lcm(a, b, mode):
+    """A least common multiple of the pair-ring elements a, b != 0."""
+    return a * _cancelled(b, a, mode)[0]
+
+
 def _reduce(n, d, mode):
     """Canonical form of the fraction n/d of pair-ring elements."""
     if not d:
@@ -228,10 +251,15 @@ def yx_coeffs(P, w, mode):
     pair-ring elements P and w != 0 free of y and x."""
     if mode.kind != TRANSCENDENTAL:
         return dict(P.items())
+    field = mode.coeff_domain().field
     groups = {}
     for m, v in P.items():
-        groups.setdefault(m[:2], {})[(0, 0) + m[2:]] = v
-    return {m: to_scalar(P.ring.from_dict(c), w, mode)
+        groups.setdefault(m[:2], {})[m[2:]] = v
+    if w == 1:  # the canonical pair of c/1 only clears c's denominators
+        return {m: field.field_new(field.ring.from_dict(c))
+                for m, c in groups.items()}
+    w = w.set_ring(field.ring)
+    return {m: field.new(field.ring.from_dict(c), w)
             for m, c in groups.items()}
 
 
@@ -438,14 +466,14 @@ class BiPoly:
     # -- operator actions ---------------------------------------------
 
     def shift(self, var, n):
-        return self._new(_shift(self.rep, self.rep.ring.symbols.index(var),
-                                int(n)))
+        return self._new(shift_gen(self.rep,
+                                   self.rep.ring.symbols.index(var), int(n)))
 
     def qshift_x(self, n):
+        n = int(n)
         if self.mode.kind == TRANSCENDENTAL:
-            f = RatFunc(self, self.mode).qshift_x(n)
-            return self._new(f.numer, f.denom)
-        c = self.mode.q_element() ** int(n)
+            return self._new(*qshift_q(n, self.rep, self.w))
+        c = self.mode.q_element() ** n
         return self._new(scale_gen(self.rep, 1, c))
 
 
@@ -628,8 +656,8 @@ class RatFunc:
         # a shift is a ring automorphism fixing the leading coefficient
         # and the content, so the canonical pair maps to a canonical pair
         i = self.denom.ring.symbols.index(var)
-        return RatFunc._new(_shift(self.numer, i, n), _shift(self.denom, i, n),
-                            self.mode)
+        return RatFunc._new(shift_gen(self.numer, i, n),
+                            shift_gen(self.denom, i, n), self.mode)
 
     def shift_x(self, n=1):
         return self._shifted(x, int(n))
@@ -647,17 +675,10 @@ class RatFunc:
             c = mode.q_element() ** n
             return RatFunc._new(*_normal(scale_gen(self.numer, 1, c),
                                          scale_gen(self.denom, 1, c)), mode)
-        # Q[y, x, q]: x^b q^c -> x^b q^(c + n*b).  x -> q^n x is an
-        # automorphism over Q(q), so only a power of q can become common to
-        # both parts; dividing it out also clears negative powers of q.
-        num, den = self.numer, self.denom
-        low = min(m[2] + n * m[1]
-                  for m in (*num.itermonoms(), *den.itermonoms()))
-
-        def move(m):
-            return m[0], m[1], m[2] + n * m[1] - low
-        return RatFunc._new(exponent_map(num, move), exponent_map(den, move),
-                            mode)
+        # x -> q^n x is an automorphism over Q(q), so only a power of q can
+        # become common to both parts; dividing it out also clears
+        # negative powers of q
+        return RatFunc._new(*qshift_q(n, self.numer, self.denom), mode)
 
     def deriv_y(self):
         n, d = self.numer, self.denom

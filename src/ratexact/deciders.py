@@ -9,14 +9,14 @@ re-verifies it by exact recomposition before returning.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
-from sympy import QQ
-
-from .core import BiPoly, RatFunc, is_difference, yx_coeffs
+from .core import (BiPoly, RatFunc, is_difference, qshift_q, ring_lcm,
+                   scale_gen, shift_gen, yx_coeffs)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
-                     ROU_SHIFT_Y, SHIFT_X_DERIV_Y, Pair)
+                     ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair)
 from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .reductions import (from_w, phi_dy_reduced_form, pull_back, reduce_y,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity,
@@ -171,30 +171,45 @@ def _hull_candidates(factors, op, R):
     return out
 
 
-def _solve_linear(rows, ncols, K):
-    """Particular solution of the augmented system rows (each a list of
-    K-elements, last entry the rhs), or None if inconsistent."""
+def _solve_linear(columns, K):
+    """Particular solution of the system sum_j x_j*columns[j] ==
+    columns[-1], each column a dict of nonzero K-elements by row key, or
+    None if it is inconsistent.  The rows go to sympy as the sparse
+    dicts they are."""
     from sympy.polys.matrices import DomainMatrix
-    A = DomainMatrix(rows, (len(rows), ncols + 1), K)
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    ncols = len(columns) - 1
+    A = DomainMatrix(dict(enumerate(rows.values())), (len(rows), ncols + 1),
+                     K)
     rref, pivots = A.rref()
     if ncols in pivots:
         return None
     sol = [K.zero] * ncols
-    rref_list = rref.to_list()
+    last = rref.to_sdm()
     for r, c in enumerate(pivots):
-        sol[c] = rref_list[r][ncols]
+        sol[c] = last[r].get(ncols, K.zero)
     return sol
 
 
-def _specialize(rows, q0):
-    """rows of Q(q)-elements with q = q0, or None if q0 is a pole of one."""
-    out = []
-    for row in rows:
-        dens = [e.denom(q0) for e in row]
-        if not all(dens):
-            return None
-        out.append([QQ.quo(e.numer(q0), d) for e, d in zip(row, dens)])
-    return out
+def _delta_over(op, den, mode):
+    """(act, E, B) with op.delta(mu/den) == (act(mu)*den - mu*B)/E for
+    every pair-ring element mu: act = phi, E = den*phi(den) and
+    B = phi(den) for a shift or q-shift phi (the q-shift moves y^j x^i to
+    q^i y^j x^i); act = d/dy, E = den^2 and B = den_y for d/dy."""
+    if op.kind == DERIV:
+        y0 = den.ring.gens[0]
+        return (lambda mu: mu.diff(y0)), den ** 2, den.diff(y0)
+    if op.kind == SHIFT:
+        act = partial(shift_gen, i=den.ring.symbols.index(op.var), n=1)
+    elif mode.kind == TRANSCENDENTAL:
+        def act(p):  # p and 1 have no common power of q to divide out
+            return qshift_q(1, p, p.ring.one)[0]
+    else:
+        act = partial(scale_gen, i=1, c=mode.q_element())
+    return act, den * act(den), act(den)
 
 
 def brute_force_exact(f: RatFunc, pair, R=4, D=4):
@@ -203,6 +218,12 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     one above the input's, and numerators of total degree <= D, by
     solving the resulting linear system exactly.  Independent of the
     theorem-based deciders; returns a verified (g, h) or None.
+
+    The system is fraction-free: over the pair-ring denominator den of g
+    (or h), each basis element op.delta(mu/den) is N/E over one E per
+    operator (``_delta_over``), and f = dx(g) + dy(h) is multiplied by L,
+    the lcm of both E and f's denominator, so no basis element costs a
+    gcd.  It is solved over mode.coeff_domain(), Q(q) included.
     """
     from .factorization import factor as factor_poly
     mode = f.mode
@@ -221,47 +242,46 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
                 den_h = den_h * cand ** mult
 
     ring = mode.pair_ring()
+    pad = (0,) * (ring.ngens - 2)
 
     def _monoms(den):
-        bound = D + max(sum(m[:2]) for m in den.rep.itermonoms())
-        return [BiPoly.from_rep(ring.gens[0] ** j * ring.gens[1] ** i, mode)
+        """Exponents of y^j x^i, i + j <= D + deg(den)."""
+        bound = D + max(sum(m[:2]) for m in den.itermonoms())
+        return [(j, i) + pad
                 for i in range(bound + 1) for j in range(bound + 1 - i)]
 
-    monoms_g, monoms_h = _monoms(den_g), _monoms(den_h)
-    over_g, over_h = RatFunc(den_g, mode), RatFunc(den_h, mode)
-    basis = [dx.delta(RatFunc(mu, mode) / over_g) for mu in monoms_g]
-    basis += [dy.delta(RatFunc(mu, mode) / over_h) for mu in monoms_h]
+    ops, dens = (dx, dy), (den_g.rep, den_h.rep)
+    overs = [_delta_over(op, den, mode) for op, den in zip(ops, dens)]
+    monoms = [_monoms(den) for den in dens]
+    L = f.denom
+    for _, E, _ in overs:
+        L = ring_lcm(L, E, mode)
+    cleared = []
+    for op, den, (act, E, B), es in zip(ops, dens, overs, monoms):
+        # the column of mu is (act(mu)*den - mu*B) * L/E; op acts on its
+        # variable v alone, so act(mu) = act(v^k) * mu/v^k, and each
+        # act(v^k)*den*L/E is formed once
+        M = L.exquo(E)
+        den_M, B_M = den * M, B * M
+        v = ring.symbols.index(op.var)
+        acted = [act(ring.gens[v] ** k) * den_M
+                 for k in range(max(e[v] for e in es) + 1)]
+        cleared += [yx_coeffs(acted[e[v]].mul_monom(e[:v] + (0,) + e[v + 1:])
+                              - B_M.mul_monom(e), ring.one, mode)
+                    for e in es]
+    cleared.append(yx_coeffs(f.numer * L.exquo(f.denom), ring.one, mode))
 
-    # clear a common denominator across the basis and f; the entries
-    # share a few denominators, so the lcm takes each distinct one once
-    L = ring.one
-    for d in dict.fromkeys(r.denom for r in basis + [f]):
-        L = L.lcm(d)
-    cleared = [yx_coeffs(r.numer * L.exquo(r.denom), ring.one, mode)
-               for r in basis + [f]]
-
-    K = mode.coeff_domain()
-    support = sorted(set().union(*cleared))
-    rows = [[p.get(mon, K.zero) for p in cleared] for mon in support]
-
-    if mode.kind == TRANSCENDENTAL:
-        # cheap generic-specialization pre-check over Q
-        for q0 in (QQ(9, 7), QQ(5, 3)):
-            spec_rows = _specialize(rows, q0)
-            if spec_rows is None:  # q0 hits a coefficient pole; try the next
-                continue
-            if _solve_linear(spec_rows, len(basis), QQ) is None:
-                return None
-            break
-
-    sol = _solve_linear(rows, len(basis), K)
+    sol = _solve_linear(cleared, mode.coeff_domain())
     if sol is None:
         return None
-    ng, zero = len(monoms_g), BiPoly.ground(0, mode)
-    g, h = (RatFunc(sum((mu * c for mu, c in zip(monoms, coeffs) if c), zero),
-                    mode) / den
-            for monoms, coeffs, den in ((monoms_g, sol[:ng], over_g),
-                                        (monoms_h, sol[ng:], over_h)))
+    certificate = []
+    for den, es in zip(dens, monoms):
+        coeffs, sol = sol[:len(es)], sol[len(es):]
+        num = sum((BiPoly.from_rep(ring({e: 1}), mode) * c
+                   for e, c in zip(es, coeffs) if c),
+                  BiPoly.ground(0, mode))
+        certificate.append(RatFunc.from_ring(num.rep, num.w * den, mode))
+    g, h = certificate
     if not verify_certificate(f, g, h, pair):  # pragma: no cover
         raise RatexactError("oracle certificate failed verification")
     return g, h

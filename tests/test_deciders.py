@@ -5,6 +5,7 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ratexact import (BiPoly, RatFunc, decide_exact, verify_certificate,
                       brute_force_exact, operator_pair, plain,
@@ -256,6 +257,103 @@ def test_brute_force_agrees_with_decider_on_all_pairs():
             w = decided.witness
             assert isinstance(w, NonSummableResidue)
             assert not pair.dx.summable(w.residue).summable
+
+
+def test_brute_force_finds_certificate_where_q0_is_singular():
+    # at q = 9/7 the factor (7q - 9)x + 1 of g's denominator becomes 1 and
+    # the system drops rank: a solve at that q finds no certificate, the
+    # solve over Q(q) does
+    g = RatFunc(1 / (x * ((7 * q - 9) * x + 1)), T)
+    f = QSHIFT_X_DERIV_Y.dx.delta(g)
+    found = brute_force_exact(f, QSHIFT_X_DERIV_Y, R=2, D=2)
+    assert found is not None
+    assert verify_certificate(f, *found, QSHIFT_X_DERIV_Y)
+
+
+def test_brute_force_takes_no_gcd_per_column(monkeypatch):
+    # the basis is formed and cleared without reducing each element, so
+    # the number of reductions does not grow with the numerator degree D
+    from ratexact import core
+    calls = []
+    reduce = core._reduce
+
+    def counting(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(core, "_reduce", counting)
+    for mode, pair in ((P, SHIFT_X_DERIV_Y), (rational(2), QSHIFT_X_DERIV_Y),
+                       (T, QSHIFT_X_DERIV_Y), (root_of_unity(3), ROU_SHIFT_Y)):
+        g = RatFunc(sp.Integer(2) / ((x + 1) * y), mode)
+        h = RatFunc(sp.Integer(3) / y, mode)
+        f = pair.dx.delta(g) + pair.dy.delta(h)
+        counts = []
+        for D in (1, 4):
+            calls.clear()
+            assert brute_force_exact(f, pair, R=1, D=D) is not None
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (mode.describe(), counts)
+
+
+# -- properties of the decision ---------------------------------------
+
+# non-exact summands w by pair (the corpus and the benchmark use them too)
+_W = {SHIFT_X_DERIV_Y: (1 / (x + y), 1 / (x * y)),
+      QSHIFT_X_DERIV_Y: (1 / ((x - 1) * y),),
+      QSHIFT_X_SHIFT_Y: (1 / ((x + 1) * y), 1 / (x + y))}
+_PROPERTY_CASES = ((P, SHIFT_X_DERIV_Y), (rational(2), QSHIFT_X_DERIV_Y),
+                   (T, QSHIFT_X_DERIV_Y), (rational(sp.Rational(3, 2)),
+                                           QSHIFT_X_SHIFT_Y),
+                   (T, QSHIFT_X_SHIFT_Y))
+_DENS = (x, y, x + 1, y + 1, x + y, x * y - 1, x * y + 1)
+_small = st.integers(-3, 3)
+
+
+def _draw_exact(data, mode, pair):
+    """dx(g) + dy(h) for drawn g = (a + b*x + c*y)/den and h likewise."""
+    def part():
+        a, b, c = (data.draw(_small) for _ in range(3))
+        den = data.draw(st.sampled_from(_DENS))
+        return RatFunc((a + b * x + c * y) / den, mode)
+    return pair.dx.delta(part()) + pair.dy.delta(part())
+
+
+def _draw_input(data):
+    """(mode, pair, f, exact): f exact, or exact plus a multiple of a w."""
+    mode, pair = data.draw(st.sampled_from(_PROPERTY_CASES))
+    f = _draw_exact(data, mode, pair)
+    if not data.draw(st.booleans()):
+        return mode, pair, f, True
+    c = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    w = RatFunc(c * data.draw(st.sampled_from(_W[pair])), mode)
+    return mode, pair, f + w, False
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_decision_invariant_under_shifts(data):
+    # the operators commute with x -> x + n (or x -> q^n x on the q-pairs)
+    # and with y -> y + n, which are invertible: the decision is the same
+    mode, pair, f, exact = _draw_input(data)
+    assert decide_exact(f, pair).exact == exact
+    n = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    for image in (pair.dx.pow(f, n), f.shift_y(n)):
+        d = decide_exact(image, pair)
+        assert d.exact == exact, (mode.describe(), pair.name, f, n)
+        if exact:
+            assert verify_certificate(image, *d.certificate, pair)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exactness_is_linear(data):
+    # exact + exact is exact; exact + (exact or not) + c*w is not exact
+    mode, pair, f, exact = _draw_input(data)
+    total = f + _draw_exact(data, mode, pair)
+    d = decide_exact(total, pair)
+    assert d.exact == exact, (mode.describe(), pair.name, total)
+    if exact:
+        assert verify_certificate(total, *d.certificate, pair)
 
 
 def test_pair_strings_rejected():
