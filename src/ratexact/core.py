@@ -84,10 +84,14 @@ def exponent_map(p, f, ring=None):
     return out
 
 
-def qshift_q(n, *polys):
-    """The elements polys of Q[y, x, q] (the pair ring over Q(q)) with
-    x -> q^n x, divided by the largest power q^low (low may be negative)
-    that leaves them all polynomials: x^b q^c -> x^b q^(c + n*b - low)."""
+def qshift_gen(n, mode, *polys):
+    """The pair-ring elements polys with x -> q^n x.  Over Q(q) (the ring
+    Q[y, x, q]) they are divided by the largest power q^low (low may be
+    negative) that leaves them all polynomials: x^b q^c ->
+    x^b q^(c + n*b - low); otherwise each x^b is scaled by q^(n*b)."""
+    if mode.kind != TRANSCENDENTAL:
+        c = mode.q_element() ** n
+        return [scale_gen(p, 1, c) for p in polys]
     low = min(m[2] + n * m[1] for p in polys for m in p.itermonoms())
     return [exponent_map(p, lambda m: (m[0], m[1], m[2] + n * m[1] - low))
             for p in polys]
@@ -470,11 +474,7 @@ class BiPoly:
                                    self.rep.ring.symbols.index(var), int(n)))
 
     def qshift_x(self, n):
-        n = int(n)
-        if self.mode.kind == TRANSCENDENTAL:
-            return self._new(*qshift_q(n, self.rep, self.w))
-        c = self.mode.q_element() ** n
-        return self._new(scale_gen(self.rep, 1, c))
+        return self._new(*qshift_gen(int(n), self.mode, self.rep, self.w))
 
 
 # -- rational functions -----------------------------------------------
@@ -644,11 +644,13 @@ class RatFunc:
         return "RatFunc(%s)" % self.as_expr()
 
     def swap_xy(self):
-        """self with x and y exchanged."""
+        """self with x and y exchanged: a ring automorphism, so the pair
+        stays coprime and only its scaling changes."""
         def swap(m):
             return (m[1], m[0]) + m[2:]
-        return RatFunc.from_ring(exponent_map(self.numer, swap),
-                                 exponent_map(self.denom, swap), self.mode)
+        return RatFunc._new(*_normal(exponent_map(self.numer, swap),
+                                     exponent_map(self.denom, swap)),
+                            self.mode)
 
     # -- operator actions ---------------------------------------------
 
@@ -666,19 +668,14 @@ class RatFunc:
         return self._shifted(y, int(n))
 
     def qshift_x(self, n=1):
-        n = int(n)
         mode = self.mode
         if not mode.has_q:
             raise QModeMismatch("no q available in plain mode")
-        if mode.kind != TRANSCENDENTAL:
-            # x -> c*x is an automorphism of k[y, x]: rescale, no gcd
-            c = mode.q_element() ** n
-            return RatFunc._new(*_normal(scale_gen(self.numer, 1, c),
-                                         scale_gen(self.denom, 1, c)), mode)
-        # x -> q^n x is an automorphism over Q(q), so only a power of q can
-        # become common to both parts; dividing it out also clears
-        # negative powers of q
-        return RatFunc._new(*qshift_q(n, self.numer, self.denom), mode)
+        # x -> q^n x is an automorphism, so the pair stays coprime and
+        # only its scaling changes (over Q(q) only a power of q can become
+        # common to both parts, and qshift_gen divides it out)
+        return RatFunc._new(*_normal(*qshift_gen(int(n), mode, self.numer,
+                                                 self.denom)), mode)
 
     def deriv_y(self):
         n, d = self.numer, self.denom
@@ -722,11 +719,15 @@ def _integral(*polys):
             for p in polys]
 
 
-def is_difference(g, phi_g, r):
-    """True iff phi_g - g == r, checked on the pairs by the polynomial
-    identity (pn*gd - gn*pd)*rd == rn*pd*gd, with phi_g = pn/pd.  Every
-    denominator is nonzero, so the identity is exact, and it needs no
-    gcd."""
-    gn, gd, pn, pd, rn, rd = _integral(g.numer, g.denom, phi_g.numer,
-                                       phi_g.denom, r.numer, r.denom)
-    return (pn * gd - gn * pd) * rd == rn * pd * gd
+def is_difference(g, phi_g, *r):
+    """True iff phi_g - g == sum(r), checked on the pairs by the
+    polynomial identity (pn*gd - gn*pd)*Rd == Rn*pd*gd, with phi_g =
+    pn/pd and Rn/Rd the sum of r, each denominator cleared in turn.
+    Every denominator is nonzero, so the identity is exact, and it needs
+    no gcd."""
+    gn, gd, pn, pd, Rn, Rd, *rs = _integral(
+        g.numer, g.denom, phi_g.numer, phi_g.denom,
+        *(p for t in r for p in (t.numer, t.denom)))
+    for rn, rd in zip(rs[::2], rs[1::2]):
+        Rn, Rd = Rn * rd + rn * Rd, Rd * rd
+    return (pn * gd - gn * pd) * Rd == Rn * pd * gd

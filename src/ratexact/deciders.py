@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple
 
-from .core import (BiPoly, RatFunc, is_difference, qshift_q, ring_lcm,
-                   scale_gen, shift_gen, yx_coeffs)
+from .core import (BiPoly, RatFunc, is_difference, qshift_gen, ring_lcm,
+                   shift_gen, yx_coeffs)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
                      ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair)
-from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x
+from .qmodes import ROOT_OF_UNITY, x
 from .reductions import (from_w, phi_dy_reduced_form, pull_back, reduce_y,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity,
                          to_w)
@@ -204,11 +204,9 @@ def _delta_over(op, den, mode):
         return (lambda mu: mu.diff(y0)), den ** 2, den.diff(y0)
     if op.kind == SHIFT:
         act = partial(shift_gen, i=den.ring.symbols.index(op.var), n=1)
-    elif mode.kind == TRANSCENDENTAL:
-        def act(p):  # p and 1 have no common power of q to divide out
-            return qshift_q(1, p, p.ring.one)[0]
     else:
-        act = partial(scale_gen, i=1, c=mode.q_element())
+        def act(p):  # p and 1 have no common power of q to divide out
+            return qshift_gen(1, mode, p, p.ring.one)[0]
     return act, den * act(den), act(den)
 
 

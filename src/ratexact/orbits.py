@@ -237,11 +237,9 @@ class Operator:
 
     def summable(self, f):
         """The summability test of this x-operator on f, a rational
-        function of x: a SummabilityResult."""
-        from . import summation
-        if self.kind == QSHIFT:
-            return summation.q_summable_x(f)
-        return summation.abramov_summable_x(f)
+        function of x over k(y): a SummabilityResult."""
+        from .summation import summable
+        return summable(f, self)
 
 
 SHIFT_X = Operator(SHIFT, x)

@@ -1,10 +1,13 @@
-"""Constructive reductions: Ostrogradsky-Hermite in y, Abramov reduction
-in y, orbit collapse onto a representative denominator, the mixed reduced
-form of an operator pair, and the root-of-unity trace reduction.
+"""Constructive reductions: Ostrogradsky-Hermite in y, one Abramov
+reduction for the y-shift, the x-shift and the x-q-shift, orbit collapse
+onto a representative denominator, the mixed reduced form of an operator
+pair, and the root-of-unity trace reduction.
 
 Every routine returns certificates alongside residuals and is validated by
-exact recomposition; nothing here is numeric.  The reductions in y keep
-every fraction over a y-free denominator of the pair ring.
+exact recomposition; nothing here is numeric.  The reductions keep every
+fraction of partial fractions over a denominator free of the operator's
+variable; ``orbit_collapse`` is the one routine that telescopes along an
+orbit.
 """
 
 from dataclasses import dataclass
@@ -12,14 +15,15 @@ from itertools import groupby
 from math import prod
 from typing import Tuple
 
-from .core import (RatFunc, cofactors, exponent_map, inverse_mod, prem_y,
-                   scale_gen, swap_gens, tree_sum, x_first)
+from .core import (BiPoly, RatFunc, cofactors, exponent_map, inverse_mod,
+                   is_difference, prem_y, scale_gen, swap_gens, tree_sum,
+                   x_first)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
                      SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
                      joint_equivalent)
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
-from .residues import PfdTerm, partial_fractions, sigma_decomposition
+from .residues import PfdTerm, partial_fractions
 
 
 @dataclass(frozen=True)
@@ -112,21 +116,62 @@ def discrete_antiderivative(p: RatFunc) -> RatFunc:
     return RatFunc.from_ring(out, p.denom, p.mode)
 
 
+def abramov_reduce(f: RatFunc, op):
+    """(g, terms): f = op(g) - g + sum a/(d^j) with the d's in distinct
+    op-orbits, for op = SHIFT_Y, SHIFT_X or QSHIFT_X; terms vanish iff f
+    is op-summable (Abramov 1975; for the q-shift Chen-Singer, Adv. Appl.
+    Math. 2012).
+
+    Partial fractions run in op's variable, held as y (x and y are
+    exchanged for an x-operator, and the terms exchanged back).  A shift
+    sends the polynomial part to its discrete antiderivative; for the
+    q-shift, x^j == delta_q(x^j/(q^j - 1)) for j != 0, the poles at x = 0
+    likewise, and the x^0 term is left as a term over 1.  Every other
+    pole is collapsed onto its orbit's representative."""
+    mode = f.mode
+    if op.kind == QSHIFT and mode.kind not in (TRANSCENDENTAL, RATIONAL):
+        raise QModeMismatch("q-summability requires q not a root of unity")
+
+    def back(v):  # v with op's variable put back in place
+        return v.swap_xy() if op.var == x else v
+    dec = partial_fractions(back(f))
+    parts, entries, poles = [], [], []
+    if op.kind == QSHIFT:
+        ring, qv = mode.pair_ring(), mode.q_element()
+        X = RatFunc.from_ring(ring.gens[1], ring.one, mode)
+
+        def power(j):  # delta_q(x^j / (q^j - 1)) = x^j
+            return (X ** j).mul_ground(1 / (qv ** j - 1))
+        N, W = dec.poly_part.numer, dec.poly_part.denom
+        for j in sorted({m[0] for m in N.itermonoms()}):
+            c = back(RatFunc.from_ring(N.coeff_wrt(0, j), W, mode))
+            if j:
+                parts.append(c * power(j))
+            else:
+                entries.append((c, BiPoly.ground(1, mode), 0))
+    else:
+        parts.append(back(discrete_antiderivative(dec.poly_part)))
+    for t in dec.terms:
+        d, a = back(t.den), back(t.num)
+        if op.kind == QSHIFT and d == X.num:
+            parts.append(a * power(-t.j))
+        else:
+            poles.append((a, d, t.j))
+    for rep, members in op.orbits(d for _, d, _ in poles):
+        for a, d, j in poles:
+            if d in members:
+                ell, scale = members[d]
+                u, _, collapsed = orbit_collapse(a.mul_ground(scale ** j),
+                                                 rep, j, ell, 0, op, op)
+                parts.append(u)
+                entries.append((collapsed.num, rep, j))
+    return tree_sum(parts, mode), _collect_terms(entries, mode)
+
+
 def abramov_reduce_y(f: RatFunc):
     """(h, terms): f = (sigma_y - 1)(h) + sum a/(d^j) with the d's in
     distinct sigma_y-orbits; terms vanish iff f is sigma_y-summable."""
-    mode = f.mode
-    dec = sigma_decomposition(f)
-    h = discrete_antiderivative(dec.poly_part)
-    residues = []
-    parts = [h]
-    for t in dec.terms:
-        a, rep, j, ell = t.num, t.den, t.j, t.ell
-        denj = RatFunc(rep ** j, mode)
-        parts.extend(a.shift_y(k - ell) / denj.shift_y(k)
-                     for k in range(ell))
-        residues.append((a.shift_y(-ell), rep, j))
-    return tree_sum(parts, mode), _collect_terms(residues, mode)
+    return abramov_reduce(f, SHIFT_Y)
 
 
 def _collect_terms(entries, mode):
@@ -163,33 +208,18 @@ def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
     return u, v, collapsed
 
 
-def _lift_coefficientwise(a: RatFunc, dx):
-    """b with dx(b) == a, for a polynomial in y, lifting the univariate
-    summability certificate through each y-coefficient (the numerator's,
-    over the y-free denominator); None when one is not summable."""
-    mode, N = a.mode, a.numer
-    parts = []
-    for j in sorted({m[0] for m in N.itermonoms()}):
-        res = dx.summable(RatFunc.from_ring(N.coeff_wrt(0, j), a.denom, mode))
-        if not res.summable:
-            return None
-        # the certificate is free of y, so times y^j its pair stays
-        # coprime and keeps its scaling
-        b = res.certificate
-        parts.append(RatFunc._new(b.numer * N.ring.gens[0] ** j, b.denom,
-                                  mode))
-    return tree_sum(parts, mode)
-
-
 def _absorb_summable(terms, dx):
     """Split residual terms over x-free denominators whose numerators
     are summable in x into an extra dx-difference part.
 
-    Such a term a/d^j equals phi(b/d^j) - b/d^j because phi fixes d;
-    moving it out makes the residual vanish on every pure difference."""
+    Such a term a/d^j equals phi(b/d^j) - b/d^j for dx(b) == a, because
+    phi fixes d; moving it out makes the residual vanish on every pure
+    difference.  a is a polynomial in y over a y-free denominator, so it
+    is summable iff each y-coefficient is, and one summability test over
+    k(y) gives b."""
     extra, rest = [], []
     for t in terms:
-        b = _lift_coefficientwise(t.num, dx) if t.den.free_of(x) else None
+        b = dx.summable(t.num).certificate if t.den.free_of(x) else None
         if b is None:
             rest.append(t)
         else:
@@ -338,13 +368,6 @@ def tau_reduced_root_of_unity(f: RatFunc, m: int):
         G[mon] = a * inv[mon[1] % m]
     c = _invariant(P0, L, m, mode)
     g = RatFunc.from_ring(G, L, mode)
-    # tau(g) - g + c == f, cross-multiplied on the canonical pairs
-    gn, gd = g.numer, g.denom
-    cn, cd = c.numer, c.denom
-    fn, fd = f.numer, f.denom
-    tgd = scale_gen(gd, 1, z)
-    if not ((scale_gen(gn, 1, z) * gd - gn * tgd) * cd * fd
-            + cn * tgd * gd * fd
-            == fn * tgd * gd * cd):  # pragma: no cover - construction
+    if not is_difference(g, g.qshift_x(1), f, -c):  # pragma: no cover
         raise RatexactError("root-of-unity reduction failed to recompose")
     return g, c

@@ -436,3 +436,34 @@ def test_inverse_mod_over_several_steps():
                 s, rho = inverse_mod(c, Pring)
                 assert rho and free_of_gen(rho, 0)
                 assert not (s * c - rho).prem(Pring)
+
+
+
+def _pair(f):
+    return f.numer, f.denom
+
+
+def test_swap_and_qshift_keep_canonical_pairs_and_sum_identity():
+    # swap_xy and qshift_x rescale without a gcd; each must give the pair
+    # that cancellation from scratch gives.  is_difference takes its right
+    # side as a sum.
+    from ratexact.core import is_difference
+    rng = random.Random(16)
+    for mode in (P, rational(sp.Rational(2, 3)), T, root_of_unity(3)):
+        phi = SHIFT_X if mode == P else QSHIFT_X
+        for _ in range(6):
+            def rand():
+                num = sum(rng.randint(-4, 4) * x ** i * y ** j
+                          for i in range(3) for j in range(2)) or 1
+                den = ((rng.randint(1, 3) * x + rng.randint(-2, 2) * y
+                        + rng.randint(1, 3)) * (y - rng.randint(0, 2) * x))
+                return RatFunc.from_pair(num, den, mode)
+            f, a = rand(), rand()
+            for s in (f.swap_xy(), phi.pow(f, 1), phi.pow(f, -2)):
+                # the canonical pair, as a reduction from scratch gives it
+                assert _pair(s) == _pair(RatFunc.from_ring(
+                    s.numer * 5, s.denom * 5, mode))
+            assert f.swap_xy().swap_xy() == f
+            r = phi.delta(f)
+            assert is_difference(f, phi.pow(f, 1), r - a, a)
+            assert not is_difference(f, phi.pow(f, 1), r, a)
