@@ -4,7 +4,8 @@ Subcommands: decide (exactness + certificate), reduce (the reduced
 forms), residue (single residue extraction), factor, and corpus (batch
 runner over case files).  Exit codes: 0 on success / all cases passing,
 1 on a corpus decision mismatch, 2 on input errors, 3 on an internal
-error (any other exception, reported in one line).
+error (any other exception, reported in one line; in a corpus run, on
+the line that raised it, after all lines have run).
 """
 
 import argparse
@@ -191,7 +192,9 @@ def run_corpus_line(line):
     """Run one `pair | qmode | expr | expected [| witness-kind]` case.
 
     Returns (ok, detail-json-dict).  An exact answer's certificate has
-    been verified by decide_exact, which raises RatexactError otherwise."""
+    been verified by decide_exact, which raises RatexactError otherwise.
+    Any other exception while deciding or printing is the outcome
+    "internal-error", which never passes."""
     parts = [p.strip() for p in line.split("|")]
     if len(parts) not in (4, 5):
         raise RatexactError("malformed corpus line: %r" % line)
@@ -202,12 +205,15 @@ def run_corpus_line(line):
         pair = operator_pair(pair_tok, mode)
         f = parse_ratfunc(expr, mode)
         dec = decide_exact(f, pair)
+        detail = _decision_json(dec, mode)
     except RatexactError as exc:
         got = "error"
         detail = {"input": expr, "outcome": "error", "message": str(exc)}
         return got == expected, detail
+    except Exception as exc:  # a fault of the program: never a pass
+        return False, {"input": expr, "outcome": "internal-error",
+                       "message": _fault(exc)}
     got = "exact" if dec.exact else "not-exact"
-    detail = _decision_json(dec, mode)
     detail["input"] = expr
     detail["outcome"] = got
     ok = got == expected
@@ -217,7 +223,7 @@ def run_corpus_line(line):
 
 
 def _cmd_corpus(args):
-    failures = 0
+    failures, internal = 0, False
     results = []
     with open(args.path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -228,6 +234,7 @@ def _cmd_corpus(args):
             results.append((lineno, ok, detail))
             if not ok:
                 failures += 1
+            internal = internal or detail["outcome"] == "internal-error"
     if args.json:
         print(_dump([{"line": n, "ok": ok, **d} for n, ok, d in results]))
     else:
@@ -236,7 +243,7 @@ def _cmd_corpus(args):
                   % ("PASS" if ok else "FAIL", n, d.get("input", "?"),
                      d.get("outcome", "?")))
         print("%d/%d passed" % (len(results) - failures, len(results)))
-    return 1 if failures else 0
+    return 3 if internal else 1 if failures else 0
 
 
 def build_parser():
@@ -299,10 +306,13 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
-        print("internal error: %s: %s" % (type(exc).__name__,
-                                          " ".join(str(exc).splitlines())),
-              file=sys.stderr)
+        print("internal error: %s" % _fault(exc), file=sys.stderr)
         return 3
+
+
+def _fault(exc):
+    """`<Type>: <message>` of an unexpected exception, on one line."""
+    return "%s: %s" % (type(exc).__name__, " ".join(str(exc).splitlines()))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ element of ``QMode.coeff_domain()``, moved to and from the pair ring by
 ``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only as the
 input of the constructors ``BiPoly(expr, mode)`` and ``RatFunc(expr, mode)``;
 the ``Expr`` of a value (``.expr``, ``as_expr()``) is built when asked for.
+Over Q(zeta_m) every gcd is modular (``_zeta_gcd``), with sympy's
+subresultant PRS as its fallback.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair has
 integer coefficients with coprime contents and a positive leading
@@ -24,13 +26,17 @@ and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly term by term,
 each coefficient in y and x an element of k.
 """
 
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import sympy as sp
-from sympy import ZZ
+from sympy import QQ, ZZ
+from sympy.polys.densearith import dup_rem
 from sympy.polys.densetools import dup_shift
 from sympy.polys.polyutils import expr_from_dict
-from sympy.polys.galoistools import gf_gcd
+from sympy.polys.galoistools import (gf_add, gf_eval, gf_gcd, gf_mul,
+                                     gf_mul_ground, gf_quo)
 
 from .errors import QModeMismatch, ZeroDenominator
 from .qmodes import TRANSCENDENTAL, x, y
@@ -123,19 +129,8 @@ def _normal(n, d):
     u = d.LC
     if u == dom.one:
         return n, d
-    return n.quo_ground(u), d.quo_ground(u)
-
-
-def x_first(ring):
-    """The ring k[x, y] with the generators of the pair ring k[y, x]
-    exchanged."""
-    return ring.clone(symbols=ring.symbols[::-1])
-
-
-def swap_gens(p, ring):
-    """p with its two generators exchanged, as an element of ring; the
-    coefficients are copied as they are."""
-    return exponent_map(p, lambda m: (m[1], m[0]), ring)
+    u = dom.quo(dom.one, u)  # one inversion, not one per coefficient
+    return n.mul_ground(u), d.mul_ground(u)
 
 
 # the prime of the modular coprimality test over Q: 2, 3 and 5 have
@@ -157,16 +152,47 @@ def _residue_map(p, mode):
                 return None
             return c.numerator * pow(c.denominator, -1, prime) % prime
         return prime, lift
-    prime, r = mode.residue_map()
+    prime, roots = mode.residue_map()
+    row = _zeta_matrices(prime, roots)[0][0]
 
     def lift(c):
-        a = 0
-        for b in c.to_list():  # power basis in zeta_m, highest first
-            if b.denominator % prime == 0:
-                return None
-            a = (a * r + b.numerator * pow(b.denominator, -1, prime)) % prime
-        return a
+        a = _coords(c, prime)
+        return None if a is None else sum(map(mul, a, row)) % prime
     return prime, lift
+
+
+def _coords(c, prime):
+    """The coordinates of c in Q(zeta_m) in the power basis, lowest first,
+    mod prime; None when one is not prime-integral."""
+    out = []
+    for b in reversed(c.to_list()):
+        n, d = b.numerator, b.denominator
+        if d != 1:
+            if d % prime == 0:
+                return None
+            n *= pow(d, -1, prime)
+        out.append(n % prime)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _zeta_matrices(prime, roots):
+    """(V, W) for the phi(m) roots of Phi_m mod prime: V[k][j] =
+    roots[k]^j maps coordinates to the images at the roots, and W = V^-1
+    mod prime (Gauss-Jordan) maps images back to coordinates."""
+    n = len(roots)
+    V = [[pow(r, j, prime) for j in range(n)] for r in roots]
+    A = [row + [int(i == k) for k in range(n)] for i, row in enumerate(V)]
+    for col in range(n):  # the roots are distinct, so V is invertible
+        piv = next(i for i in range(col, n) if A[i][col])
+        A[col], A[piv] = A[piv], A[col]
+        inv = pow(A[col][col], -1, prime)
+        A[col] = [a * inv % prime for a in A[col]]
+        for i in range(n):
+            if i != col and A[i][col]:
+                t = A[i][col]
+                A[i] = [(a - t * b) % prime for a, b in zip(A[i], A[col])]
+    return tuple(map(tuple, V)), tuple(tuple(row[n:]) for row in A)
 
 
 def _image(p, k, prime, lift):
@@ -209,14 +235,235 @@ def _coprime(n, d, mode):
     return True
 
 
+# -- the modular gcd over Q(zeta_m) -------------------------------------
+
+# primes p = 1 mod m tried before a gcd over Q(zeta_m) falls back to the
+# subresultant PRS; each takes about 31 bits of the coefficients
+_GCD_PRIMES = 16
+
+
+def _gf_primitive(A, p):
+    """(content, primitive part) of A in GF(p)[u][v] (dense in u, each
+    coefficient a dense polynomial in v), the content monic."""
+    c = []
+    for row in A:
+        c = gf_gcd(c, row, p, ZZ)
+        if c == [1]:
+            return c, A
+    return c, [gf_quo(row, c, p, ZZ) for row in A]
+
+
+def _gf_gcd2(A, B, p):
+    """The monic gcd (lex, u > v) of A and B in GF(p)[u][v] by Brown's
+    dense algorithm: the contents in v apart, evaluate v, take the gcd in
+    u, scale it by gamma, the gcd of the leading coefficients, and
+    interpolate in v past the degree bound.  None when the evaluation
+    points run out.
+
+    A point at which both leading coefficients stay nonzero gives a gcd
+    in u of at least the true degree; a constant one proves the
+    primitive parts coprime.  Points of the lowest degree seen are kept,
+    so the result is the gcd, or of higher degree in u when every point
+    kept was unlucky."""
+    ca, A = _gf_primitive(A, p)
+    cb, B = _gf_primitive(B, p)
+    c = gf_gcd(ca, cb, p, ZZ)
+    gamma = gf_gcd(A[0], B[0], p, ZZ)
+    bound = len(gamma) + min(max(map(len, A)), max(map(len, B))) - 2
+    H, N, deg, v = None, [1], None, 1
+    for _ in range(4 * bound + len(A[0]) + len(B[0]) + 16):
+        v = v * _EVAL_POINT % p
+        if not (gf_eval(A[0], v, p, ZZ) and gf_eval(B[0], v, p, ZZ)):
+            continue
+        e = gf_gcd([gf_eval(r, v, p, ZZ) for r in A],
+                   [gf_eval(r, v, p, ZZ) for r in B], p, ZZ)
+        if len(e) == 1:
+            return [c]
+        if deg is None or len(e) < deg:
+            H, N, deg = None, [1], len(e)
+        elif len(e) > deg:
+            continue
+        e = gf_mul_ground(e, gf_eval(gamma, v, p, ZZ), p, ZZ)
+        if H is None:
+            H = [[a] if a else [] for a in e]
+        else:  # Newton: H += N * (e - H(v)) / N(v)
+            s = pow(gf_eval(N, v, p, ZZ), -1, p)
+            H = [gf_add(h, gf_mul_ground(
+                N, (a - gf_eval(h, v, p, ZZ)) * s % p, p, ZZ), p, ZZ)
+                 for h, a in zip(H, e)]
+        N = gf_mul(N, [1, p - v], p, ZZ)
+        if len(N) > bound + 1:
+            G = [gf_mul(r, c, p, ZZ) for r in _gf_primitive(H, p)[1]]
+            s = pow(G[0][0], -1, p)
+            return [gf_mul_ground(r, s, p, ZZ) for r in G]
+    return None
+
+
+def _zeta_images(polys, prime, V):
+    """For each root of V, the images of polys in GF(prime)[g0][g1] as
+    dense lists; None when prime divides a coefficient's denominator or
+    the image of a leading coefficient."""
+    out = [[] for _ in V]
+    for P in polys:
+        terms = [{} for _ in V]
+        for mon, c in P.items():
+            a = _coords(c, prime)
+            if a is None:
+                return None
+            for t, row in zip(terms, V):
+                t[mon] = sum(map(mul, a, row)) % prime
+        for t, img in zip(terms, out):
+            if not t[P.LM]:
+                return None
+            top = P.LM[0]
+            rows = [{} for _ in range(top + 1)]
+            for (i, j), a in t.items():
+                if a:
+                    rows[top - i][j] = a
+            img.append([[r.get(j, 0) for j in range(max(r), -1, -1)]
+                        if r else [] for r in rows])
+    return out
+
+
+def _ratrec(u, M):
+    """The fraction n/d == u mod M with |n|, d <= sqrt(M/2), or None."""
+    bound = isqrt(M // 2)
+    r0, r1, t0, t1 = M, u, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if not t1 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return QQ(r1, t1) if t1 > 0 else QQ(-r1, -t1)
+
+
+def exquo(a, h):
+    """a/h when h divides a, else None, for a and h in a two-generator
+    ring.  Lex division: each step subtracts c*m*h for the leading term
+    of the remainder over h's leading term; h's leading coefficient is
+    inverted once (not at all when h is monic), not once per term."""
+    lm, dom = h.LM, a.ring.domain
+    u = None if h.LC == dom.one else dom.quo(dom.one, h.LC)
+    tail = [(m, c) for m, c in h.items() if m != lm]
+    r, q = dict(a), {}
+    while r:
+        m = max(r)
+        e = (m[0] - lm[0], m[1] - lm[1])
+        if e[0] < 0 or e[1] < 0:
+            return None
+        c = r.pop(m)
+        if u is not None:
+            c *= u
+        q[e] = c
+        for hm, hc in tail:
+            k = (hm[0] + e[0], hm[1] + e[1])
+            v = r.get(k, dom.zero) - c * hc
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
+    return a.ring.from_dict(q)
+
+
+def _zeta_gcd(polys, mode):
+    """(h, [P/h for P in polys]) for h the monic gcd (lex) of two or more
+    nonzero elements polys of a two-generator ring over Q(zeta_m), or None
+    when ``_GCD_PRIMES`` primes give no candidate that divides them all.
+
+    For a prime p = 1 mod m, zeta_m -> r^k at the phi(m) roots of Phi_m
+    mod p maps Z[zeta_m]/(p) onto phi(m) copies of GF(p), and the inputs
+    onto GF(p)[g0, g1] (Langemyr-McCallum, JSC 1989; Encarnacion, JSC
+    1995).  Each image's gcd (``_gf_gcd2``) is a multiple of the image of
+    h when p keeps the leading coefficients, so its leading monomial is
+    at least h's, and a constant one proves h = 1.  Images with equal
+    leading monomials are interpolated in zeta_m, combined over primes
+    by CRT (a lower leading monomial starts afresh, a higher one is an
+    unlucky prime) and rationally reconstructed.  A candidate that
+    divides every input (``exquo``) is then a common divisor whose
+    leading monomial is at least h's: it is h."""
+    ring = polys[0].ring
+    acc, lm, tried = None, None, None
+    for i in range(_GCD_PRIMES):
+        p, roots = mode.residue_map(i)
+        V, W = _zeta_matrices(p, roots)
+        gs = _image_gcds(polys, p, V)
+        if gs == 1:
+            return ring.one, list(polys)
+        if gs is None:
+            continue
+        low = min(max(g) for g in gs)
+        if lm is not None and low < lm:
+            acc, lm = None, low
+        if any(max(g) != low for g in gs) or (lm is not None and low > lm):
+            continue  # an unlucky prime
+        coords = {}
+        for mon in set().union(*gs):
+            vals = [g.get(mon, 0) for g in gs]
+            coords[mon] = [sum(map(mul, w, vals)) % p for w in W]
+        if acc is None:
+            acc, M, lm = coords, p, low
+        else:  # CRT
+            s, zeros = pow(M, -1, p), [0] * len(W)
+            acc = {mon: [a + M * ((b - a) * s % p) for a, b in
+                         zip(acc.get(mon, zeros), coords.get(mon, zeros))]
+                   for mon in acc.keys() | coords.keys()}
+            M *= p
+        h = _reconstruct(acc, M, ring)
+        if h is not None and h != tried:
+            tried = h
+            quos = [exquo(P, h) for P in polys]
+            if None not in quos:
+                return h, quos
+    return None
+
+
+def _image_gcds(polys, p, V):
+    """The gcd of the images of polys at each root of V, as {monomial:
+    coefficient}; 1 when one of them is constant, None when p divides a
+    denominator or a leading coefficient or ``_gf_gcd2`` gives up."""
+    images = _zeta_images(polys, p, V)
+    if images is None:
+        return None
+    out = []
+    for imgs in images:
+        g = imgs[0]
+        for B in imgs[1:]:
+            g = _gf_gcd2(g, B, p)
+            if g is None:
+                return None
+            if g == [[1]]:
+                return 1
+        top = len(g) - 1
+        out.append({(top - k, len(r) - 1 - j): a
+                    for k, r in enumerate(g) for j, a in enumerate(r) if a})
+    return out
+
+
+def _reconstruct(acc, M, ring):
+    """The element of ring whose coordinates in zeta_m are the fractions
+    congruent to acc's modulo M, or None when one has none."""
+    h = {}
+    for mon, cs in acc.items():
+        cs = [_ratrec(a, M) for a in cs]
+        if None in cs:
+            return None
+        h[mon] = ring.domain.new(cs[::-1])
+    return ring.from_dict(h)
+
+
 def cofactors(a, b, mode):
     """(a/h, b/h) for h a gcd of a and b.  A pair with a ground member,
     or whose modular images are coprime, skips the gcd: on a reduced sum
     or product that is the common case, and the gcd's cost grows with
-    the size of the coefficients (heuristic gcd over Q) or explodes with
-    the degree (subresultant PRS over Q(zeta_m))."""
+    the size of the coefficients (heuristic gcd over Q).  Over Q(zeta_m)
+    the gcd is modular (``_zeta_gcd``), with the subresultant PRS as its
+    fallback."""
     if a.is_ground or b.is_ground or _coprime(a, b, mode):
         return a, b
+    if a.ring.domain.is_Algebraic:
+        found = _zeta_gcd((a, b), mode)
+        if found:
+            return tuple(found[1])
     return a.cofactors(b)[1:]
 
 
@@ -224,18 +471,7 @@ def _cancelled(n, d, mode):
     """(n/h, d/h) for h a gcd of the pair-ring elements n and d, d != 0."""
     if not n:
         return n, d.ring.one
-    ring = n.ring
-    if not ring.domain.is_Algebraic:
-        return cofactors(n, d, mode)
-    # over Q(zeta_m) the gcd is a subresultant PRS in the first generator,
-    # which runs far faster with x first than with y first; when d is free
-    # of y, so is h, and the gcd runs on the y-coefficients of n instead
-    if free_of_gen(d, 0) and not (d.is_ground or _coprime(n, d, mode)):
-        h = _content_y(d, n)
-        return n.exquo(h), d.exquo(h)
-    xy = x_first(ring)
-    n, d = cofactors(swap_gens(n, xy), swap_gens(d, xy), mode)
-    return swap_gens(n, ring), swap_gens(d, ring)
+    return cofactors(n, d, mode)
 
 
 def ring_lcm(a, b, mode):
@@ -308,18 +544,25 @@ def prem_y(p, d):
     return p.prem(d), d.coeff_wrt(0, d.degree()) ** k
 
 
-def _content_y(*polys):
-    """A gcd of the y-coefficients of the pair-ring elements polys."""
+def _content_y(polys, mode):
+    """A gcd of the y-coefficients of the pair-ring elements polys; over
+    Q(zeta_m) the modular gcd of all of them at once."""
+    cs = (p.coeff_wrt(0, j) for p in polys
+          for j in {m[0] for m in p.itermonoms()})
     g = polys[0].ring.zero
-    for c in (p.coeff_wrt(0, j) for p in polys
-              for j in {m[0] for m in p.itermonoms()}):
+    if g.ring.domain.is_Algebraic:
+        cs = list(cs)
+        found = len(cs) > 1 and _zeta_gcd(cs, mode)
+        if found:
+            return found[0]
+    for c in cs:  # stops at the first ground gcd
         g = g.gcd(c)
         if g.is_ground:
             return g.ring.one
     return g
 
 
-def inverse_mod(c, P):
+def inverse_mod(c, P, mode):
     """(s, rho) with s*c == rho modulo P and rho free of y, for c and P
     coprime in k(x)[y]: a pseudo-remainder sequence from (P, c) carrying
     c's cofactor, each step divided by its y-free content."""
@@ -329,7 +572,7 @@ def inverse_mod(c, P):
         m = r1.coeff_wrt(0, r1.degree()) ** (r0.degree() - r1.degree() + 1)
         quo, rem = r0.pdiv(r1)  # m*r0 == quo*r1 + rem
         s = s0 * m - quo * s1
-        g = _content_y(rem, s)
+        g = _content_y((rem, s), mode)
         r0, s0, r1, s1 = r1, s1, rem.exquo(g), s.exquo(g)
     return s1, r1
 
@@ -719,15 +962,61 @@ def _integral(*polys):
             for p in polys]
 
 
+@lru_cache(maxsize=None)
+def _lift_ring(ring):
+    """Z[g0, g1, z] for a two-generator ring over Q(zeta_m), and the
+    minimal polynomial Phi_m of zeta_m as a dense list in z."""
+    zring = ring.clone(symbols=ring.symbols + (sp.Symbol("z"),), domain=ZZ)
+    return zring, [c.numerator for c in ring.domain.mod.to_list()]
+
+
+def _zeta_lift(polys):
+    """The pairs (polys[0], polys[1]), (polys[2], polys[3]), ... over
+    Q(zeta_m) in Z[g0, g1, z] with zeta_m -> z, each pair times the lcm
+    of its coordinates' denominators, so that every fraction keeps its
+    value modulo Phi_m(z); and Phi_m, dense in z."""
+    zring, phi = _lift_ring(polys[0].ring)
+    out = []
+    for pair in zip(polys[::2], polys[1::2]):
+        s = lcm(*(b.denominator for p in pair for c in p.itercoeffs()
+                  for b in c.to_list()))
+        for p in pair:
+            terms = {}
+            for mon, c in p.items():
+                cs = c.to_list()  # highest power of zeta first
+                for k, b in enumerate(cs):
+                    if b:
+                        terms[mon + (len(cs) - 1 - k,)] = (
+                            b.numerator * (s // b.denominator))
+            out.append(zring.from_dict(terms))
+    return out, phi
+
+
+def _vanishes_mod(p, phi):
+    """True iff p in Z[g0, g1, z] is 0 modulo the monic phi in z."""
+    cols = {}
+    for (i, j, k), c in p.items():
+        cols.setdefault((i, j), {})[k] = c
+    return not any(dup_rem([col.get(k, 0) for k in range(max(col), -1, -1)],
+                           phi, ZZ) for col in cols.values())
+
+
 def is_difference(g, phi_g, *r):
     """True iff phi_g - g == sum(r), checked on the pairs by the
     polynomial identity (pn*gd - gn*pd)*Rd == Rn*pd*gd, with phi_g =
     pn/pd and Rn/Rd the sum of r, each denominator cleared in turn.
     Every denominator is nonzero, so the identity is exact, and it needs
-    no gcd."""
-    gn, gd, pn, pd, Rn, Rd, *rs = _integral(
-        g.numer, g.denom, phi_g.numer, phi_g.denom,
-        *(p for t in r for p in (t.numer, t.denom)))
+    no gcd.  Over Q(zeta_m) it is checked in Z[y, x, z] modulo
+    Phi_m(z) (``_zeta_lift``): a product of integer polynomials costs
+    far less than one of algebraic numbers, each reduced modulo Phi_m."""
+    polys = [p for t in (g, phi_g) + r for p in (t.numer, t.denom)]
+    phi = None
+    if polys[0].ring.domain.is_Algebraic:
+        polys, phi = _zeta_lift(polys)
+    else:
+        polys = _integral(*polys)
+    gn, gd, pn, pd, Rn, Rd, *rs = polys
     for rn, rd in zip(rs[::2], rs[1::2]):
         Rn, Rd = Rn * rd + rn * Rd, Rd * rd
-    return (pn * gd - gn * pd) * Rd == Rn * pd * gd
+    lhs, rhs = (pn * gd - gn * pd) * Rd, Rn * pd * gd
+    return lhs == rhs if phi is None else _vanishes_mod(lhs - rhs, phi)

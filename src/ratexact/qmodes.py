@@ -12,6 +12,7 @@ Q(zeta_m) in the power basis of its generator zeta_m = q.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 import sympy as sp
@@ -73,19 +74,22 @@ class QMode:
         raise QModeMismatch("no q available in plain mode")
 
     @lru_cache(maxsize=None)
-    def residue_map(self):
-        """(p, r) for q = zeta_m: a prime p = 1 mod m and a primitive m-th
-        root of unity r mod p.  zeta_m -> r maps the elements of Q(zeta_m)
-        with p-integral coordinates onto GF(p) as a ring map, since r is
-        a root of the minimal polynomial Phi_m mod p."""
+    def residue_map(self, i=0):
+        """(p, roots) for q = zeta_m: the i-th prime p = 1 mod m above
+        2^31 and the phi(m) primitive m-th roots of unity mod p, r^k for
+        k prime to m with r = roots[0].  Each zeta_m -> r^k maps the
+        elements of Q(zeta_m) with p-integral coordinates onto GF(p) as a
+        ring map, since r^k is a root of the minimal polynomial Phi_m mod
+        p."""
         m = self.order
-        p = (2 ** 31 // m) * m + 1
+        p = self.residue_map(i - 1)[0] + m if i else (2 ** 31 // m) * m + 1
         while not sp.isprime(p):
             p += m
         for a in range(2, p):
             r = pow(a, (p - 1) // m, p)
             if all(pow(r, m // f, p) != 1 for f in sp.primefactors(m)):
-                return p, r
+                return p, tuple(pow(r, k, p) for k in range(1, m)
+                                if gcd(k, m) == 1)
 
     @lru_cache(maxsize=None)
     def pair_ring(self):

@@ -11,19 +11,25 @@ orbit.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from math import prod
 from typing import Tuple
 
-from .core import (BiPoly, RatFunc, cofactors, exponent_map, inverse_mod,
-                   is_difference, prem_y, scale_gen, swap_gens, tree_sum,
-                   x_first)
+from .core import (BiPoly, RatFunc, cofactors, exponent_map, exquo,
+                   inverse_mod, is_difference, prem_y, scale_gen, tree_sum)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
                      SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
                      joint_equivalent)
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .residues import PfdTerm, partial_fractions
+
+
+# the longest orbit that orbit_collapse telescopes: the q = 2 distance
+# 128 decides in about 2 s, and 160 takes 5.5 s, since a distance-k
+# certificate has coefficients of about k^2/2 bits
+MAX_ORBIT_DISTANCE = 128
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ def hermite_reduce_y(f: RatFunc):
         e = max(digits)
         if e > 1:
             dP = P.diff(Y)
-            s, rho = inverse_mod(dP, P)
+            s, rho = inverse_mod(dP, P, mode)
             cof = Q.exquo(P ** (e - 1))
         X, Z = ring.zero, ring.one  # the numerator X/Z over P^j
         for j in range(e, 0, -1):
@@ -196,6 +202,9 @@ def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
     """
     if m < 0 or n < 0:
         raise ValueError("offsets must be nonnegative (re-base the orbit)")
+    if m + n > MAX_ORBIT_DISTANCE:
+        raise RatexactError("orbit distance %d exceeds the ceiling %d"
+                            % (m + n, MAX_ORBIT_DISTANCE))
     mode = a.mode
     dj = RatFunc(d ** j, mode)
     djn = phi2.pow(dj, n)
@@ -298,23 +307,22 @@ def _tau_split(f: RatFunc, m: int):
         raise QModeMismatch("trace of order %s in q-mode %s"
                             % (m, mode.describe()))
     ring = f.denom.ring
-    xy = x_first(ring)
     z = mode.q_element()
-    D = swap_gens(f.denom, xy)
+    D = f.denom
     # L = lcm of the conjugates tau^i(D): one gcd against each in turn
     L = D
     for i in range(1, m):
-        L = L * cofactors(L, scale_gen(D, 0, z ** i), mode)[1]
+        L = L * cofactors(L, scale_gen(D, 1, z ** i), mode)[1]
     # tau permutes the conjugates, so tau(L) = zeta^s * L, and every
     # x-degree of L is s mod m; s != 0 only when x divides D
-    s = L.LM[0] % m
+    s = L.degree(1) % m
     if s:
-        L = L * xy.gens[0] ** (m - s)
-    P = swap_gens(f.numer, xy) * L.exquo(D)
-    P0, P1 = xy.zero, xy.zero
+        L = L * ring.gens[1] ** (m - s)
+    P = f.numer * exquo(L, D)
+    P0, P1 = ring.zero, ring.zero
     for mon, c in P.items():
-        (P1 if mon[0] % m else P0)[mon] = c
-    return (swap_gens(L, ring), swap_gens(P0, ring), swap_gens(P1, ring))
+        (P1 if mon[1] % m else P0)[mon] = c
+    return L, P0, P1
 
 
 def to_w(p, m):
@@ -350,6 +358,14 @@ def trace_xm(f: RatFunc, m: int) -> RatFunc:
     return _invariant(P0.mul_ground(m), L, m, f.mode)
 
 
+@lru_cache(maxsize=None)
+def _average_weights(mode):
+    """(None, 1/(zeta - 1), ..., 1/(zeta^(m-1) - 1)) for q = zeta_m."""
+    dom, z = mode.coeff_domain(), mode.q_element()
+    return (None,) + tuple(dom.quo(dom.one, z ** r - dom.one)
+                           for r in range(1, mode.order))
+
+
 def tau_reduced_root_of_unity(f: RatFunc, m: int):
     """(g, c) with f = tau(g) - g + c, c tau-invariant (= trace/m); f is
     tau-summable iff c = 0.  The certificate is the explicit averaging
@@ -360,9 +376,7 @@ def tau_reduced_root_of_unity(f: RatFunc, m: int):
     divides each monomial x^b of P1 by zeta^(b mod m) - 1."""
     mode = f.mode
     L, P0, P1 = _tau_split(f, m)
-    dom = L.ring.domain
-    z = mode.q_element()
-    inv = [None] + [dom.quo(dom.one, z ** r - dom.one) for r in range(1, m)]
+    inv = _average_weights(mode)
     G = L.ring.zero
     for mon, a in P1.items():
         G[mon] = a * inv[mon[1] % m]

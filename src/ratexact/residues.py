@@ -78,7 +78,7 @@ def partial_fractions(f: RatFunc) -> Decomposition:
             continue
         P, w = d.rep, d.w
         cof = D.exquo(P ** e)
-        s, rho = inverse_mod(cof, P)
+        s, rho = inverse_mod(cof, P, mode)
         M, dl = rem, delta
         for j in range(e, 0, -1):
             r, m1 = prem_y(M, P)

@@ -317,6 +317,45 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: ValueError: unexpected state\n"
 
 
+def test_internal_error_in_corpus_is_per_line(capsys, monkeypatch, tmp_path):
+    # the corpus twin: the faulty line is reported, never passes, the run
+    # goes on, and the exit code is 3
+    import ratexact.cli
+    decide = ratexact.cli.decide_exact
+
+    def broken(f, pair):
+        if f.free_of(x):
+            raise ValueError("unexpected\nstate")
+        return decide(f, pair)
+    monkeypatch.setattr(ratexact.cli, "decide_exact", broken)
+    cases = tmp_path / "cases.txt"
+    cases.write_text("dx-dy | none | 1/y | internal-error\n"
+                     "dx-dy | none | 1/(x*(x+1)) | exact\n")
+    code, out, err = run_json(capsys, "corpus", str(cases), "--json")
+    assert code == 3 and err == ""
+    assert out[0]["ok"] is False and out[0]["outcome"] == "internal-error"
+    assert out[0]["message"] == "ValueError: unexpected state"
+    assert out[1]["ok"] is True and out[1]["outcome"] == "exact"
+    code, out, _ = run(capsys, "corpus", str(cases))
+    assert code == 3 and "1/2 passed" in out
+
+
+def test_orbit_distance_ceiling_is_exit_2(capsys):
+    from ratexact.reductions import MAX_ORBIT_DISTANCE
+    k = MAX_ORBIT_DISTANCE
+    for pair, q, far in (("dx-dy", None, "x+%d" % (k + 1)),
+                         ("dqx-dy", "2", "2^%d*x-1" % (k + 1)),
+                         ("dqx-dy", "2", "2^1100*x-1")):
+        argv = ["decide", "--pair", pair, "--expr",
+                "1/((x-1)*y) - 1/((%s)*y)" % far]
+        code, out, err = run(capsys, *argv + (["--q", q] if q else []))
+        assert code == 2 and out == "", far
+        assert err.startswith("error: orbit distance"), err
+    code, out, _ = run_json(capsys, "decide", "--pair", "dx-dy", "--expr",
+                            "1/((x-1)*y) - 1/((x+%d)*y)" % (k - 1), "--json")
+    assert code == 0 and out["exact"] is True
+
+
 def test_bad_input_is_exit_2(capsys, tmp_path):
     # bad input is a RatexactError or an OSError, never an internal error
     for q in ("abc", "1/0", "7" * 5000):

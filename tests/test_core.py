@@ -323,6 +323,77 @@ def test_modular_coprimality_never_hides_a_common_factor():
             assert f.numer.gcd(f.denom).is_ground
 
 
+# -- the modular gcd over Q(zeta_m) -------------------------------------
+
+def _zeta_ring(m):
+    mode = root_of_unity(m)
+    ring = mode.pair_ring()
+    Y, X = ring.gens
+    return mode, ring, Y, X, ring.ground_new(mode.q_element())
+
+
+def test_modular_gcd_matches_the_prs():
+    # planted common factors: monomials, x-only, y-only, mixed and with
+    # zeta coefficients; the gcd is the PRS's monic one, and so are the
+    # cofactors
+    from ratexact.core import _content_y, _zeta_gcd, cofactors
+    rng = random.Random(41)
+    for m in (3, 4, 5, 6, 7, 8, 9, 12):
+        mode, ring, Y, X, z = _zeta_ring(m)
+
+        def rand(dy, dx):
+            return sum((rng.randint(-3, 3) * z ** rng.randint(0, m - 1)
+                        * Y ** i * X ** j
+                        for i in range(dy + 1) for j in range(dx + 1)),
+                       ring.zero)
+        planted = (Y, X, X ** 2 - 3 * X + 1, Y ** 2 + 2, X * Y - Y ** 2 - Y,
+                   Y + z * X, z ** 2 * X * Y + z - 1, rand(1, 1))
+        for c in planted:
+            a = c * (rand(1, 1) or ring.one)
+            b = c * (rand(1, 1) or ring.one)
+            h, (ca, cb) = _zeta_gcd((a, b), mode)
+            want, wa, wb = a.cofactors(b)
+            assert h == want and h.LC == ring.domain.one, (m, c)
+            assert (ca, cb) == (wa, wb) and ca * h == a and cb * h == b
+            assert cofactors(a, b, mode) == (wa, wb)
+        # several at once, as the content in y takes them
+        ps = [rand(0, 2) * (X + z) for _ in range(3)]
+        h = _zeta_gcd(ps, mode)[0]
+        assert h == reduce(lambda g, p: g.gcd(p), ps)
+        assert _content_y([p * Y ** i for i, p in enumerate(ps)], mode) == h
+
+
+def test_modular_gcd_drops_an_unlucky_prime(monkeypatch):
+    # x + 1 and x + 1 + p share a factor modulo the first prime p only:
+    # its images have the higher leading monomial of (x + 1)*c, the
+    # candidate from it fails trial division, and the second prime gives c
+    import ratexact.core as core
+    for m in (3, 5):
+        mode, ring, Y, X, z = _zeta_ring(m)
+        p, roots = mode.residue_map(0)
+        c = Y * X + z
+        a, b = (X + 1) * c, (X + 1 + p) * c
+        V = core._zeta_matrices(p, roots)[0]
+        lms = {max(g) for g in core._image_gcds((a, b), p, V)}
+        assert lms == {((X + 1) * c).LM}
+        assert core._zeta_gcd((a, b), mode) == (c, [X + 1, X + 1 + p])
+        monkeypatch.setattr(core, "_GCD_PRIMES", 1)
+        assert core._zeta_gcd((a, b), mode) is None
+        monkeypatch.undo()
+
+
+def test_modular_gcd_falls_back_to_the_prs():
+    # a gcd with coefficients larger than the primes can reconstruct
+    from ratexact.core import _GCD_PRIMES, _zeta_gcd, cofactors
+    mode, ring, Y, X, z = _zeta_ring(5)
+    c = Y + 3 ** (40 * _GCD_PRIMES) * z * X
+    a, b = (X + 2) * c, (X * Y - 3) * c
+    assert _zeta_gcd((a, b), mode) is None
+    assert cofactors(a, b, mode) == (X + 2, X * Y - 3)
+    f = RatFunc.from_ring(a, b, mode)
+    assert (f.numer, f.denom) == (X + 2, X * Y - 3)
+
+
 # -- the tree sum ------------------------------------------------------
 
 _TREE_MODES = {"none": P, "3/2": rational("3/2"), "symbolic": T,
@@ -433,7 +504,7 @@ def test_inverse_mod_over_several_steps():
                     "%d*x^%d*y^%d" % (rng.randint(-5, 5) or 1, i, j)
                     for i in range(2) for j in range(rng.randint(1, 5))),
                     mode).numer
-                s, rho = inverse_mod(c, Pring)
+                s, rho = inverse_mod(c, Pring, mode)
                 assert rho and free_of_gen(rho, 0)
                 assert not (s * c - rho).prem(Pring)
 
@@ -446,10 +517,11 @@ def _pair(f):
 def test_swap_and_qshift_keep_canonical_pairs_and_sum_identity():
     # swap_xy and qshift_x rescale without a gcd; each must give the pair
     # that cancellation from scratch gives.  is_difference takes its right
-    # side as a sum.
+    # side as a sum; over Q(zeta_m) it checks modulo Phi_m.
     from ratexact.core import is_difference
     rng = random.Random(16)
-    for mode in (P, rational(sp.Rational(2, 3)), T, root_of_unity(3)):
+    for mode in (P, rational(sp.Rational(2, 3)), T, root_of_unity(3),
+                 root_of_unity(7)):
         phi = SHIFT_X if mode == P else QSHIFT_X
         for _ in range(6):
             def rand():

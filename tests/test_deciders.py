@@ -186,6 +186,31 @@ def test_rou_m4_power_exact():
                             ROU_DERIV_Y).exact
 
 
+# `ratexact decide --pair dqx-dy --root-of-unity 5 --expr
+# "1/((x^2+y)*(x-1))" --json`, as the subresultant gcd over Q(zeta_5)
+# printed it in about 10 s
+ODD_ORDER_ZETA5 = (
+    '{"exact": false, "pair": "rou:deriv_y", "qmode": "zeta:5", "witness": '
+    '{"den": "x^10 + y^5", "j": 1, "kind": "non_summable_residue", '
+    '"residue": "(-y*x^10 + x^10 - y^3*x^5 + y^2*x^5 + y^4)/(x^5 - 1)"}}\n')
+
+
+def test_odd_order_root_of_unity_decides(capsys):
+    # at odd m the trace reduction's gcds over Q(zeta_m) are modular; the
+    # subresultant PRS gave no answer at m = 7 within a minute
+    import json
+    from ratexact.cli import main
+    for m in (5, 7):
+        assert main(["decide", "--pair", "dqx-dy", "--root-of-unity", str(m),
+                     "--expr", "1/((x^2+y)*(x-1))", "--json"]) == 0
+        out = capsys.readouterr().out
+        d = json.loads(out)
+        assert d["exact"] is False and d["qmode"] == "zeta:%d" % m
+        assert d["witness"]["kind"] == "non_summable_residue"
+        if m == 5:
+            assert out == ODD_ORDER_ZETA5
+
+
 def test_rational_q_mode():
     M = rational(sp.Rational(2, 3))
     f = RatFunc.from_pair(1, x * y, M)

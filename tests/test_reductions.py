@@ -146,6 +146,10 @@ def test_tau_reduced_root_of_unity_recompose():
             assert g0.qshift_x(1) - g0 + c == f
             # the averaged part is invariant under the twist
             assert c.qshift_x(1) == c
+    # over Q (m = 2) a canonical denominator need not be monic
+    f = RatFunc.from_pair(1, (2 * x + 1) * (3 * y + x), root_of_unity(2))
+    g0, c = tau_reduced_root_of_unity(f, 2)
+    assert g0.qshift_x(1) - g0 + c == f
 
 
 def test_tau_reduced_invariant_input_passes_through():
