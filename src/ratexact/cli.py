@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .core import RatFunc
+from .core import BiPoly, RatFunc
 from .deciders import decide_exact, operator_pair
 from .errors import RatexactError
 from .factorization import factor as factor_poly
@@ -138,13 +138,20 @@ def _cmd_reduce(args):
     return 0
 
 
+def _polynomial(text, mode, message):
+    """The polynomial that text denotes, as a BiPoly, with its constant
+    denominator (such as the 2 of y/2); RatexactError(message) when text
+    is not a polynomial."""
+    f = parse_ratfunc(text, mode)
+    if not f.is_polynomial():
+        raise RatexactError(message)
+    return BiPoly.from_rep(f.numer, mode, f.denom)
+
+
 def _cmd_residue(args):
     mode = _mode_from_args(args)
     f = parse_ratfunc(args.expr, mode)
-    d = parse_ratfunc(args.at, mode)
-    if not d.is_polynomial():
-        raise RatexactError("--at must be a polynomial")
-    dp = d.num
+    dp = _polynomial(args.at, mode, "--at must be a polynomial")
     if args.kind == "dy":
         r = residue_dy(f, dp)
     else:
@@ -160,10 +167,8 @@ def _cmd_residue(args):
 
 def _cmd_factor(args):
     mode = _mode_from_args(args)
-    f = parse_ratfunc(args.expr, mode)
-    if not f.is_polynomial():
-        raise RatexactError("factor expects a polynomial")
-    fac = factor_poly(f.num)
+    fac = factor_poly(_polynomial(args.expr, mode,
+                                  "factor expects a polynomial"))
     payload = {"unit": canonical_str(RatFunc(1, mode).mul_ground(fac.unit)),
                "factors": [[canonical_str(RatFunc(p, mode)), e]
                            for p, e in fac.factors],

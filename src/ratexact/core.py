@@ -3,27 +3,29 @@ actions (shift, q-shift, y-shift and d/dy).
 
 Values are immutable and stored as sparse sympy ring elements
 (``sympy.polys.rings.PolyElement``) of one ring per q-mode,
-``QMode.pair_ring``: k[y, x] for k = Q and Q(zeta_m), and Q[y, x, q] for
-Q(q), so that gcds run over Q.  A RatFunc holds a reduced pair of it, a
-BiPoly a pair (P, w) with value P/w, w free of y and x (1 outside Q(q);
-``_poly_normal``).  All arithmetic, cancellation, shifts and derivatives
-work on the ring elements, as do the reductions in y (``prem_y``,
-``inverse_mod``: y first, fractions over y-free denominators, never
-k(x)[y]), and every scalar (an orbit scale, a unit, a power of q) is an
-element of ``QMode.coeff_domain()``, moved to and from the pair ring by
+``QMode.pair_ring``: Z[y, x] for k = Q, Z[y, x, q] for k = Q(q), and
+Q(zeta_m)[y, x] for m > 2, so that over Q and Q(q) every product and gcd
+runs on integers (sympy's ``_gcd_ZZ``).  A RatFunc holds a canonical pair
+of it; a BiPoly holds a canonical pair (P, w) with value P/w, w free of y
+and x.  All arithmetic, cancellation, shifts and derivatives work on the
+ring elements, as do the reductions in y (``prem_y``, ``inverse_mod``: y
+first, fractions over y-free denominators, never k(x)[y]), and every
+scalar (an orbit scale, a unit, a power of q) is an element of
+``QMode.coeff_domain()``, moved to and from the pair ring as a pair by
 ``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only as the
 input of the constructors ``BiPoly(expr, mode)`` and ``RatFunc(expr, mode)``;
 the ``Expr`` of a value (``.expr``, ``as_expr()``) is built when asked for.
 Over Q(zeta_m) every gcd is modular (``_zeta_gcd``), with sympy's
 subresultant PRS as its fallback.
 
-Canonical form (lex order y > x, then q): over Q and Q(q) the pair has
-integer coefficients with coprime contents and a positive leading
-denominator coefficient; over Q(zeta_m) the denominator is monic.
-``BiPoly.canonical()`` splits off a unit so that the primitive part is
-integer-primitive with positive leading coefficient over Q and monic in y
-and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly term by term,
-each coefficient in y and x an element of k.
+Canonical form (lex order y > x, then q): over Q and Q(q) the pair is
+coprime in the integer ring, with coprime contents and a positive leading
+denominator coefficient, so a BiPoly's w is a positive integer over Q and
+an integer polynomial in q over Q(q); over Q(zeta_m) the denominator is
+monic, and w = 1.  ``BiPoly.canonical()`` splits off a unit so that the
+primitive part is integer-primitive with positive leading coefficient over
+Q and monic in y and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly
+term by term, each coefficient in y and x an element of k.
 """
 
 from functools import lru_cache
@@ -69,14 +71,18 @@ def shift_gen(p, i, n):
     return p.ring.from_dict(out)
 
 
-def scale_gen(p, i, c):
-    """p with generator i replaced by c * (generator i), c ground."""
+def scale_gen(p, i, c, top=None):
+    """p with generator i replaced by c * (generator i), c ground.  With
+    top given, c = u/v is a rational number and the result is also
+    multiplied by v^top, top at least p's degree in generator i, so that
+    an integer polynomial stays one: g^e is scaled by u^e * v^(top - e)."""
     out = p.ring.zero
     powers = {}
     for m, a in p.items():
         e = m[i]
         if e not in powers:
-            powers[e] = c ** e
+            powers[e] = (c ** e if top is None
+                         else c.numerator ** e * c.denominator ** (top - e))
         out[m] = a * powers[e]
     return out
 
@@ -91,13 +97,19 @@ def exponent_map(p, f, ring=None):
 
 
 def qshift_gen(n, mode, *polys):
-    """The pair-ring elements polys with x -> q^n x.  Over Q(q) (the ring
-    Q[y, x, q]) they are divided by the largest power q^low (low may be
-    negative) that leaves them all polynomials: x^b q^c ->
-    x^b q^(c + n*b - low); otherwise each x^b is scaled by q^(n*b)."""
+    """The pair-ring elements polys with x -> q^n x, all times one nonzero
+    scalar, so that a fraction of two of them keeps its value.  Over Q(q)
+    (the ring Z[y, x, q]) they are divided by the largest power q^low (low
+    may be negative) that leaves them all polynomials: x^b q^c ->
+    x^b q^(c + n*b - low).  Over Q, with q^n = u/v, they are multiplied
+    by v^top for top their highest x-degree: x^b is scaled by
+    u^b * v^(top - b).  Over Q(zeta_m) each x^b is scaled by zeta^(n*b)."""
     if mode.kind != TRANSCENDENTAL:
         c = mode.q_element() ** n
-        return [scale_gen(p, 1, c) for p in polys]
+        if polys[0].ring.domain.is_Field:
+            return [scale_gen(p, 1, c) for p in polys]
+        top = max(p.degree(1) for p in polys)
+        return [scale_gen(p, 1, c, top) for p in polys]
     low = min(m[2] + n * m[1] for p in polys for m in p.itermonoms())
     return [exponent_map(p, lambda m: (m[0], m[1], m[2] + n * m[1] - low))
             for p in polys]
@@ -108,29 +120,26 @@ def free_of_gen(p, i):
 
 
 def _normal(n, d):
-    """Canonical scaling of a reduced pair: integer coefficients with
-    coprime contents and positive leading denominator coefficient over a
-    rational ground field, monic denominator otherwise."""
+    """Canonical scaling of a reduced pair: coprime contents and positive
+    leading denominator coefficient over the integers, monic denominator
+    over Q(zeta_m)."""
     if not n:
         return n, d.ring.one
+    if d.is_one:
+        return n, d
     dom = d.ring.domain
-    if dom.is_QQ:
-        # scale both parts by L/g: L clears every coefficient denominator
-        # and g is the gcd of the cleared numerators, signed as LC(d)
-        coeffs = [*n.itercoeffs(), *d.itercoeffs()]
-        L = lcm(*(c.denominator for c in coeffs))
-        g = gcd(*(c.numerator * (L // c.denominator) for c in coeffs))
-        if d.LC < 0:
-            g = -g
-        if L != g:
-            s = dom(L, g)
-            n, d = n.mul_ground(s), d.mul_ground(s)
-        return n, d
-    u = d.LC
-    if u == dom.one:
-        return n, d
-    u = dom.quo(dom.one, u)  # one inversion, not one per coefficient
-    return n.mul_ground(u), d.mul_ground(u)
+    if dom.is_Field:
+        u = d.LC
+        if u == dom.one:
+            return n, d
+        u = dom.quo(dom.one, u)  # one inversion, not one per coefficient
+        return n.mul_ground(u), d.mul_ground(u)
+    g = gcd(*d.itercoeffs(), *n.itercoeffs())
+    if d.LC < 0:
+        g = -g
+    if g != 1:
+        n, d = n.quo_ground(g), d.quo_ground(g)
+    return n, d
 
 
 # the prime of the modular coprimality test over Q: 2, 3 and 5 have
@@ -144,14 +153,8 @@ def _residue_map(p, mode):
     """(prime, lift): lift(c) is the image in GF(prime) of a coefficient c
     of p, or None when c is not prime-integral.  Over Q(zeta_m), zeta_m
     goes to a root of the cyclotomic polynomial mod prime."""
-    if p.ring.domain.is_QQ:
-        prime = _PRIME_Q
-
-        def lift(c):
-            if c.denominator % prime == 0:
-                return None
-            return c.numerator * pow(c.denominator, -1, prime) % prime
-        return prime, lift
+    if not p.ring.domain.is_Field:
+        return _PRIME_Q, lambda c: c % _PRIME_Q
     prime, roots = mode.residue_map()
     row = _zeta_matrices(prime, roots)[0][0]
 
@@ -457,7 +460,8 @@ def cofactors(a, b, mode):
     or product that is the common case, and the gcd's cost grows with
     the size of the coefficients (heuristic gcd over Q).  Over Q(zeta_m)
     the gcd is modular (``_zeta_gcd``), with the subresultant PRS as its
-    fallback."""
+    fallback; over Z it is sympy's, and h carries the gcd of the
+    contents."""
     if a.is_ground or b.is_ground or _coprime(a, b, mode):
         return a, b
     if a.ring.domain.is_Algebraic:
@@ -489,17 +493,20 @@ def _reduce(n, d, mode):
 def yx_coeffs(P, w, mode):
     """{(i, j): c in mode.coeff_domain()} with P/w == sum c*y^i*x^j, for
     pair-ring elements P and w != 0 free of y and x."""
+    dom = mode.coeff_domain()
     if mode.kind != TRANSCENDENTAL:
-        return dict(P.items())
-    field = mode.coeff_domain().field
+        if P.ring.domain.is_Field:  # Q(zeta_m)
+            return dict(P.quo_ground(w.LC).items())
+        return {m: dom(c, w.LC) for m, c in P.items()}
+    field = dom.field
     groups = {}
     for m, v in P.items():
         groups.setdefault(m[:2], {})[m[2:]] = v
     if w == 1:  # the canonical pair of c/1 only clears c's denominators
-        return {m: field.field_new(field.ring.from_dict(c))
+        return {m: field.field_new(field.ring.from_dict(c, ZZ))
                 for m, c in groups.items()}
     w = w.set_ring(field.ring)
-    return {m: field.new(field.ring.from_dict(c), w)
+    return {m: field.new(field.ring.from_dict(c, ZZ), w)
             for m, c in groups.items()}
 
 
@@ -513,28 +520,32 @@ def to_scalar(n, d, mode):
     """n/d in mode.coeff_domain(), for pair-ring elements n, d != 0 free of
     y and x."""
     dom = mode.coeff_domain()
-    if mode.kind != TRANSCENDENTAL:
+    if mode.kind == TRANSCENDENTAL:
+        return dom.field.new(*(p.set_ring(dom.field.ring) for p in (n, d)))
+    if n.ring.domain.is_Field:
         return dom.quo(n.LC, d.LC)
-    return dom.field.new(*(p.set_ring(dom.field.ring) for p in (n, d)))
+    return dom(n.LC, d.LC)
 
 
 def from_scalar(c, mode):
-    """(n, d), coprime elements of the pair ring free of y and x, with
-    n/d == c for c in mode.coeff_domain()."""
+    """The canonical pair (n, d) of the pair ring, free of y and x, with
+    n/d == c for c in mode.coeff_domain(): over Q the numerator and
+    denominator of c; over Q(q) those of c with their denominators
+    cleared."""
     ring = mode.pair_ring()
-    if mode.kind != TRANSCENDENTAL:
+    if ring.domain.is_Field:
         return ring.ground_new(c), ring.one
-    return c.numer.set_ring(ring), c.denom.set_ring(ring)
+    if mode.kind != TRANSCENDENTAL:
+        return ring(c.numerator), ring(c.denominator)
+    return _normal(*_cleared(c.numer, c.denom, ring))
 
 
-def _poly_normal(P, w, mode):
-    """The normal pair of P/w, w != 0 free of y and x: (P', w') with w'
-    monic and prime to P', the lcm of the q-denominators of P/w."""
-    if not P:
-        return P, w.ring.one
-    P, w = cofactors(P, w, mode)
-    u = w.LC
-    return (P, w) if u == 1 else (P.quo_ground(u), w.quo_ground(u))
+def _cleared(n, d, ring):
+    """(N, D) in ring with N/D == n/d, for polynomials n and d over the
+    field of ring's ground domain, each times the lcm of its
+    coefficients' denominators (over Q(zeta_m) as they are)."""
+    (cn, n), (cd, d) = n.clear_denoms(), d.clear_denoms()
+    return (n * cd).set_ring(ring), (d * cn).set_ring(ring)
 
 
 def prem_y(p, d):
@@ -583,9 +594,11 @@ def inverse_mod(c, P, mode):
 class BiPoly:
     """A polynomial in k[x, y] (either variable may be absent).
 
-    The value is rep/w for the normal pair (``rep``, ``w``) of
-    ``mode.pair_ring()`` elements (``_poly_normal``); every operation works
-    on it, and ``.expr`` is built from it only when asked for."""
+    The value is rep/w for the canonical pair (``rep``, ``w``) of
+    ``mode.pair_ring()`` elements, w free of y and x: rep and w coprime,
+    w a positive integer over Q, an integer polynomial in q with positive
+    leading coefficient over Q(q), and 1 over Q(zeta_m).  Every operation
+    works on it, and ``.expr`` is built from it only when asked for."""
 
     __slots__ = ("rep", "w", "mode", "_expr")
 
@@ -596,7 +609,7 @@ class BiPoly:
         self._init(f.numer, f.denom, mode)
 
     def _init(self, rep, w, mode):
-        rep, w = _poly_normal(rep, w, mode)
+        """Wrap a pair that is already canonical."""
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "mode", mode)
@@ -606,7 +619,7 @@ class BiPoly:
     def from_rep(cls, rep, mode, w=None):
         """The polynomial rep/w (w free of y and x, default 1)."""
         self = object.__new__(cls)
-        self._init(rep, w or rep.ring.one, mode)
+        self._init(*_reduce(rep, w or rep.ring.one, mode), mode)
         return self
 
     @classmethod
@@ -627,8 +640,12 @@ class BiPoly:
                 coeffs = yx_coeffs(self.rep, self.w, self.mode)
                 e = expr_from_dict({m: c.as_expr() for m, c in coeffs.items()},
                                    y, x)
-            else:
+            elif self.w.is_one:
                 e = self.rep.as_expr()
+            else:  # over Q, w an integer
+                w = self.w.LC
+                e = expr_from_dict({m: sp.Rational(c, w)
+                                    for m, c in self.rep.items()}, y, x)
             object.__setattr__(self, "_expr", e)
         return self._expr
 
@@ -703,10 +720,10 @@ class BiPoly:
         P, dom = self.rep, self.mode.coeff_domain()
         if self.is_zero:
             return dom.one, self
-        if dom.is_QQ:  # integer-primitive with positive leading coefficient
-            u = P.content() if P.LC > 0 else -P.content()
-            return u, (self if u == 1 else self._new(P.quo_ground(u)))
-        lead = lead_yx(P)  # monic in y and x
+        if dom == QQ:  # integer-primitive with positive leading coefficient
+            lead = P.ring(P.content() if P.LC > 0 else -P.content())
+        else:  # monic in y and x
+            lead = lead_yx(P)
         u = to_scalar(lead, self.w, self.mode)
         return u, (self if u == dom.one else self._new(P, lead))
 
@@ -740,11 +757,13 @@ class RatFunc:
             n, d = expr.numer, expr.denom
         elif isinstance(expr, int):
             n, d = _normal(ring(expr), ring.one)
-        elif isinstance(expr, BiPoly):
-            n, d = _reduce(expr.rep, expr.w, mode)
+        elif isinstance(expr, BiPoly):  # its pair is canonical
+            n, d = expr.rep, expr.w
         else:
             n, d = sp.fraction(sp.together(sp.sympify(expr)))
-            n, d = _reduce(ring.from_expr(n), ring.from_expr(d), mode)
+            qring = ring.clone(domain=ring.domain.get_field())
+            n, d = _reduce(*_cleared(qring.from_expr(n), qring.from_expr(d),
+                                     ring), mode)
         self._init(n, d, mode)
 
     def _init(self, n, d, mode):
@@ -935,8 +954,7 @@ def tree_sum(terms, mode):
     terms = [t for t in terms if not t.is_zero]
     if len(terms) < 2:
         return terms[0] if terms else RatFunc(0, mode)
-    flat = _integral(*(p for t in terms for p in (t.numer, t.denom)))
-    pairs = list(zip(flat[::2], flat[1::2]))
+    pairs = [(t.numer, t.denom) for t in terms]
     while len(pairs) > 1:
         paired = []
         for (a, b), (c, d) in zip(pairs[::2], pairs[1::2]):
@@ -944,22 +962,7 @@ def tree_sum(terms, mode):
         if len(pairs) % 2:
             paired.append(pairs[-1])
         pairs = paired
-    ring = terms[0].denom.ring
-    n, d = pairs[0]
-    return RatFunc.from_ring(n.set_ring(ring), d.set_ring(ring), mode)
-
-
-def _integral(*polys):
-    """The polys over Z when they lie over Q with integer coefficients,
-    as canonical pairs do there, else as they are.  A product over Z
-    skips the gcd that normalizes each product of two rationals."""
-    ring = polys[0].ring
-    if not ring.domain.is_QQ or any(c.denominator != 1 for p in polys
-                                    for c in p.itercoeffs()):
-        return polys
-    zring = ring.clone(domain=ZZ)
-    return [zring.from_dict({m: c.numerator for m, c in p.items()})
-            for p in polys]
+    return RatFunc.from_ring(*pairs[0], mode)
 
 
 @lru_cache(maxsize=None)
@@ -1013,8 +1016,6 @@ def is_difference(g, phi_g, *r):
     phi = None
     if polys[0].ring.domain.is_Algebraic:
         polys, phi = _zeta_lift(polys)
-    else:
-        polys = _integral(*polys)
     gn, gd, pn, pd, Rn, Rd, *rs = polys
     for rn, rd in zip(rs[::2], rs[1::2]):
         Rn, Rd = Rn * rd + rn * Rd, Rd * rd

@@ -194,19 +194,25 @@ def _solve_linear(columns, K):
     return sol
 
 
-def _delta_over(op, den, mode):
+def _delta_over(op, den, mode, top):
     """(act, E, B) with op.delta(mu/den) == (act(mu)*den - mu*B)/E for
-    every pair-ring element mu: act = phi, E = den*phi(den) and
-    B = phi(den) for a shift or q-shift phi (the q-shift moves y^j x^i to
-    q^i y^j x^i); act = d/dy, E = den^2 and B = den_y for d/dy."""
+    every pair-ring element mu of x-degree at most top (den's included):
+    act = c*phi, E = den*act(den) and B = act(den) for a shift or q-shift
+    phi and one nonzero scalar c (the q-shift moves y^j x^i to
+    q^i y^j x^i, and c = v^top for q = u/v over Z); act = d/dy, E = den^2
+    and B = den_y for d/dy."""
     if op.kind == DERIV:
         y0 = den.ring.gens[0]
         return (lambda mu: mu.diff(y0)), den ** 2, den.diff(y0)
     if op.kind == SHIFT:
         act = partial(shift_gen, i=den.ring.symbols.index(op.var), n=1)
     else:
-        def act(p):  # p and 1 have no common power of q to divide out
-            return qshift_gen(1, mode, p, p.ring.one)[0]
+        # with 1 and x^top beside it, p has no power of q to divide out
+        # and is scaled by the same v^top as every other mu
+        anchors = (den.ring.one, den.ring.gens[1] ** top)
+
+        def act(p):
+            return qshift_gen(1, mode, p, *anchors)[0]
     return act, den * act(den), act(den)
 
 
@@ -249,8 +255,9 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
                 for i in range(bound + 1) for j in range(bound + 1 - i)]
 
     ops, dens = (dx, dy), (den_g.rep, den_h.rep)
-    overs = [_delta_over(op, den, mode) for op, den in zip(ops, dens)]
     monoms = [_monoms(den) for den in dens]
+    overs = [_delta_over(op, den, mode, max(e[1] for e in es))
+             for op, den, es in zip(ops, dens, monoms)]
     L = f.denom
     for _, E, _ in overs:
         L = ring_lcm(L, E, mode)

@@ -43,7 +43,7 @@ def factor(p: BiPoly) -> Factorization:
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     mode, P = p.mode, p.rep
-    # over Q(q) the factorization runs in Q[y, x, q], where q-factors are
+    # over Q(q) the factorization runs in Z[y, x, q], where q-factors are
     # units of Q(q)
     try:
         const, raw = P.factor_list()

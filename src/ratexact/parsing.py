@@ -17,7 +17,7 @@ the result to canonical form once, at the end.
 import re
 from decimal import Decimal
 
-from .core import RatFunc
+from .core import RatFunc, from_scalar
 from .errors import ExprSyntaxError, ZeroDenominator
 
 _TOKEN_RE = re.compile(r"\d+|[xyq]|[-+*/^()]|\s+|.")
@@ -60,10 +60,12 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         ring = self.ring = mode.pair_ring()
-        # x, y and q as pair-ring elements: generators, or q's value
-        self.atoms = {s.name: g for s, g in zip(ring.symbols, ring.gens)}
+        # x, y and q as pairs: generators over 1, or q's value, such as
+        # (3, 2) for q = 3/2
+        self.atoms = {s.name: (g, ring.one)
+                      for s, g in zip(ring.symbols, ring.gens)}
         if mode.has_q and "q" not in self.atoms:
-            self.atoms["q"] = ring.ground_new(mode.q_element())
+            self.atoms["q"] = from_scalar(mode.q_element(), mode)
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -153,7 +155,7 @@ class _Parser:
             if tok not in self.atoms:
                 self.fail("q is not available in this q-mode")
             self.advance()
-            return self.atoms[tok], self.ring.one
+            return self.atoms[tok]
         self.fail("unexpected token %r" % tok)
 
 

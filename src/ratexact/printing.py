@@ -57,7 +57,7 @@ def _cleared_pair(f: RatFunc):
     printed pair can keep fractions such as `43/2*y*x`.  Those bytes are
     part of the golden corpus output and stay as they are."""
     num, den = f.numer, f.denom
-    content = QQ.one
+    content = 1
     if f.mode.kind == ROOT_OF_UNITY and f.mode.order > 2:
         num, den = _lift_root(num), _lift_root(den)
         content = _gcd_list(list(num.coeffs() or [QQ.zero]) + den.coeffs())

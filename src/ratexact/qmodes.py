@@ -16,7 +16,7 @@ from math import gcd
 from typing import Optional
 
 import sympy as sp
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
@@ -94,11 +94,13 @@ class QMode:
     @lru_cache(maxsize=None)
     def pair_ring(self):
         """The one sparse ring of this q-mode, holding BiPoly and RatFunc
-        pairs: k[y, x] (lex, y > x), except over Q(q), where it is
-        Q[y, x, q] (lex, y > x > q) so that gcds run over Q."""
+        pairs (lex, y > x > q): Z[y, x] over Q, Z[y, x, q] over Q(q), and
+        Q(zeta_m)[y, x] for m > 2.  A value over Q or Q(q) is a pair of
+        integer polynomials, so its products and gcds run over Z."""
+        dom = self.coeff_domain()
         if self.kind == TRANSCENDENTAL:
-            return PolyRing((y, x, q), QQ, lex)
-        return PolyRing((y, x), self.coeff_domain(), lex)
+            return PolyRing((y, x, q), ZZ, lex)
+        return PolyRing((y, x), ZZ if dom == QQ else dom, lex)
 
     def poly_ring(self):
         """pair_ring(); kept only for the benchmark's setup probe."""

@@ -13,11 +13,11 @@ orbit.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import prod
+from math import lcm, prod
 from typing import Tuple
 
-from .core import (BiPoly, RatFunc, cofactors, exponent_map, exquo,
-                   inverse_mod, is_difference, prem_y, scale_gen, tree_sum)
+from .core import (BiPoly, RatFunc, cofactors, exponent_map, inverse_mod,
+                   is_difference, prem_y, qshift_gen, tree_sum)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
                      SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
@@ -57,19 +57,21 @@ def hermite_reduce_y(f: RatFunc):
     T == a*s/rho modulo P and S = (a - T*P')/P, a/P^j equals
     Dy(-T/((j-1)*P^(j-1))) + (S + T'/(j-1))/P^(j-1).  Numerators stay over
     y-free denominators, each level is reduced once, and h is summed
-    times Q = prod P^(e-1), then divided by Q once."""
+    times Q = prod P^(e-1), then divided by Q once.  The polynomial part's
+    integral is taken over one integer denominator s, the lcm of its
+    exponents."""
     mode = f.mode
     dec = partial_fractions(f)
     N, ring = dec.poly_part.numer, f.numer.ring
-    dom, Y = ring.domain, ring.gens[0]
+    Y = ring.gens[0]
     poles = [(d, (d.rep, d.w), {t.j: t.num for t in group})
              for d, group in groupby(dec.terms, key=lambda t: t.den)]
     Q = prod((P ** (max(digits) - 1) for _, (P, _), digits in poles),
              start=ring.one)
-    integral = ring.zero
-    for m, c in N.items():
-        integral[(m[0] + 1,) + m[1:]] = dom.quo(c, dom.convert(m[0] + 1))
-    parts = [RatFunc.from_ring(integral * Q, dec.poly_part.denom, mode)]
+    s = lcm(*(m[0] + 1 for m in N.itermonoms()))
+    integral = ring.from_dict({(m[0] + 1,) + m[1:]: c * (s // (m[0] + 1))
+                               for m, c in N.items()})
+    parts = [RatFunc.from_ring(integral * Q, dec.poly_part.denom * s, mode)]
     entries = []
     for d, (P, w), digits in poles:
         e = max(digits)
@@ -100,9 +102,10 @@ def discrete_antiderivative(p: RatFunc) -> RatFunc:
     """P with P(y+1) - P(y) == p and P(0) == 0, for p polynomial in y: the
     y-coefficients of p's numerator go to the falling-factorial basis by
     synthetic division by y, y-1, ...; digit k over k+1 is P's digit k+1,
-    and P is rebuilt by Horner in Newton form (Gerhard, LNCS 3218, ch. 4)."""
+    and P is rebuilt by Horner in Newton form (Gerhard, LNCS 3218, ch. 4),
+    times s = lcm(1, ..., n + 1), the one denominator of its digits."""
     N, n = p.numer, p.numer.degree()
-    dom = N.ring.domain
+    dom, s = N.ring.domain, lcm(*range(1, max(n, 0) + 2))
     cols = {}  # per monomial in x (and q): y-coefficients, highest first
     for m, c in N.items():
         cols.setdefault(m[1:], [dom.zero] * (n + 1))[-1 - m[0]] = c
@@ -115,11 +118,11 @@ def discrete_antiderivative(p: RatFunc) -> RatFunc:
             digits.append(col.pop())
         big = [dom.zero]  # P's y-coefficients, lowest first
         for k in range(len(digits) - 1, -1, -1):
-            big[0] += dom.quo(digits[k], dom.convert(k + 1))
+            big[0] += digits[k] * (s // (k + 1))
             big = [a - b * k
                    for a, b in zip([dom.zero] + big, big + [dom.zero])]
         out.update(((j,) + rest, c) for j, c in enumerate(big) if c)
-    return RatFunc.from_ring(out, p.denom, p.mode)
+    return RatFunc.from_ring(out, p.denom * s, p.mode)
 
 
 def abramov_reduce(f: RatFunc, op):
@@ -307,18 +310,20 @@ def _tau_split(f: RatFunc, m: int):
         raise QModeMismatch("trace of order %s in q-mode %s"
                             % (m, mode.describe()))
     ring = f.denom.ring
-    z = mode.q_element()
     D = f.denom
-    # L = lcm of the conjugates tau^i(D): one gcd against each in turn
-    L = D
+    # L = D*M, the lcm of the conjugates tau^i(D): one gcd against each
+    # in turn
+    L, M = D, ring.one
     for i in range(1, m):
-        L = L * cofactors(L, scale_gen(D, 1, z ** i), mode)[1]
+        c = cofactors(L, qshift_gen(i, mode, D)[0], mode)[1]
+        L, M = L * c, M * c
     # tau permutes the conjugates, so tau(L) = zeta^s * L, and every
     # x-degree of L is s mod m; s != 0 only when x divides D
     s = L.degree(1) % m
     if s:
-        L = L * ring.gens[1] ** (m - s)
-    P = f.numer * exquo(L, D)
+        c = ring.gens[1] ** (m - s)
+        L, M = L * c, M * c
+    P = f.numer * M
     P0, P1 = ring.zero, ring.zero
     for mon, c in P.items():
         (P1 if mon[1] % m else P0)[mon] = c
@@ -360,10 +365,15 @@ def trace_xm(f: RatFunc, m: int) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def _average_weights(mode):
-    """(None, 1/(zeta - 1), ..., 1/(zeta^(m-1) - 1)) for q = zeta_m."""
+    """(s, (None, s/(zeta - 1), ..., s/(zeta^(m-1) - 1))) for q = zeta_m,
+    the weights in the pair ring's ground domain: s = 2 for m = 2 (zeta =
+    -1 over Z), and 1 otherwise."""
     dom, z = mode.coeff_domain(), mode.q_element()
-    return (None,) + tuple(dom.quo(dom.one, z ** r - dom.one)
-                           for r in range(1, mode.order))
+    s = 2 if mode.order == 2 else 1
+    ground = mode.pair_ring().domain
+    return s, (None,) + tuple(
+        ground.convert(dom.quo(dom.convert(s), z ** r - dom.one))
+        for r in range(1, mode.order))
 
 
 def tau_reduced_root_of_unity(f: RatFunc, m: int):
@@ -376,12 +386,12 @@ def tau_reduced_root_of_unity(f: RatFunc, m: int):
     divides each monomial x^b of P1 by zeta^(b mod m) - 1."""
     mode = f.mode
     L, P0, P1 = _tau_split(f, m)
-    inv = _average_weights(mode)
+    s, inv = _average_weights(mode)
     G = L.ring.zero
     for mon, a in P1.items():
         G[mon] = a * inv[mon[1] % m]
     c = _invariant(P0, L, m, mode)
-    g = RatFunc.from_ring(G, L, mode)
+    g = RatFunc.from_ring(G, L * s, mode)
     if not is_difference(g, g.qshift_x(1), f, -c):  # pragma: no cover
         raise RatexactError("root-of-unity reduction failed to recompose")
     return g, c

@@ -45,3 +45,44 @@ def test_traced_run_matches_untraced():
     # the untraced program is back in place
     assert ratexact.cli.run_corpus_line(LINES[0]) == untraced[0]
     assert ratexact.cli.run_corpus_line.__module__ == "ratexact.cli"
+
+
+RUN = SPANS.parent / "run.py"
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_setup_code_builds_the_rings_of_every_workload():
+    # the benchmark's setup_s runs SETUP_CODE in a fresh process on the
+    # q-modes of each workload; it builds QMode.poly_ring(), pair_ring()
+    # and y_ring(), and the tracer wraps RatFunc.from_y by name
+    import os
+    import subprocess
+    import sys
+
+    import sympy as sp
+
+    import ratexact
+    from ratexact.qmodes import x, y
+    run = _load_run()
+    tokens = sorted({t for w in ("fuzz", "scaling", "root-of-unity",
+                                 "oracle")
+                     for t in run.workloads.qmodes_of(w)})
+    specs = [run.qmode_spec(t) for t in tokens]
+    env = dict(os.environ, PYTHONPATH=str(run.SRC))
+    res = subprocess.run([sys.executable, "-c", run.SETUP_CODE, *specs],
+                         cwd=run.ROOT, env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(res.stdout.split()[-1]) > 0
+    e = y ** 2 * x / (x + 1) + y / 2 - sp.Rational(3, 4)
+    for t in tokens:
+        mode = run.qmode(ratexact, t)
+        assert mode.poly_ring() == mode.pair_ring()
+        Y = mode.y_ring().from_expr(e)
+        assert ratexact.RatFunc.from_y(Y, mode) == ratexact.RatFunc(e, mode)
+    assert "RatFunc.from_y" in _load_spans().LAYERS["core.arith"][1]

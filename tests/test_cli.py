@@ -180,6 +180,62 @@ def test_factor_rejects_fraction(capsys):
     assert code == 2
 
 
+# (QMode constructor and argument, CLI flags, a polynomial whose value
+# has a constant denominator)
+_FRACTIONAL_POLYS = [
+    ("plain", None, [], "6*x/5"),
+    ("transcendental", None, ["--q-symbolic"], "x/q"),
+    ("rational", "3/2", ["--q", "3/2"], "(q*x*y - 1)*(x + q*y)*(q^2*x - 1)"),
+    ("rational", "-5/7", ["--q=-5/7"], "q*x^2/3 - y/q"),
+    ("root_of_unity", 3, ["--root-of-unity", "3"], "(q*x + y)*(x - 1)/2"),
+]
+
+
+@pytest.mark.parametrize("name, arg, flags, text", _FRACTIONAL_POLYS)
+def test_factor_recomposes_to_its_input(capsys, name, arg, flags, text):
+    # the factorization of the polynomial's value, its constant
+    # denominator included, multiplies back to it, in the library and in
+    # the printed unit and factors of the CLI
+    import ratexact
+    from ratexact import BiPoly
+    from ratexact.factorization import factor
+    mode = getattr(ratexact, name)(*([] if arg is None else [arg]))
+    f = parse_ratfunc(text, mode)
+    p = BiPoly.from_rep(f.numer, mode, f.denom)
+    assert factor(p).recompose(mode) == p == BiPoly(f.as_expr(), mode)
+    code, out, _ = run_json(capsys, "factor", *flags, "--expr", text,
+                            "--json")
+    assert code == 0
+    product = parse_ratfunc(out["unit"], mode)
+    for base, e in out["factors"]:
+        product = product * parse_ratfunc(base, mode) ** e
+    assert product == f
+
+
+def test_factor_unit_keeps_the_constant_denominator(capsys):
+    for flags, text, unit in (([], "6*x/5", "(6)/(5)"),
+                              (["--q-symbolic"], "x/q", "(1)/(q)")):
+        code, out, _ = run_json(capsys, "factor", *flags, "--expr", text,
+                                "--json")
+        assert code == 0 and out["unit"] == unit
+
+
+@pytest.mark.parametrize("kind", ["dy", "sy"])
+def test_residue_at_a_polynomial_with_a_denominator(capsys, kind):
+    # 1/y = (1/2)/(y/2): the residue at y/2 is 1/2, as the library gives
+    # it for the BiPoly of y/2
+    from ratexact import BiPoly
+    from ratexact.residues import residue_dy, residue_sigma
+    mode = plain()
+    f = parse_ratfunc("1/y", mode)
+    d = BiPoly(y / 2, mode)
+    want = residue_dy(f, d) if kind == "dy" else residue_sigma(f, d, 1)
+    assert want == RatFunc.from_pair(1, 2, mode)
+    code, out, _ = run(capsys, "residue", "--kind", kind, "--at", "y/2",
+                       "--expr", "1/y")
+    assert code == 0 and out.strip() == canonical_str(want) == "(1)/(2)"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["decide", "--pair", "nope", "--expr", "x"]) == 2
     # the trace reduction needs q a root of unity: a q-mode mismatch

@@ -163,9 +163,10 @@ def test_bipoly_canonical():
 
 
 def test_bipoly_pair_is_normal_over_q_field():
-    # over Q(q) a BiPoly is (rep, w) with value rep/w: equal values built
-    # in different ways have equal pairs and hashes, and w is the monic lcm
-    # of the q-denominators of the coefficients
+    # over Q(q) a BiPoly is (rep, w) with value rep/w, a coprime pair in
+    # Z[y, x, q]: equal values built in different ways have equal pairs and
+    # hashes, and w is the lcm in Z[q] of the q-denominators of the
+    # coefficients, with positive leading coefficient
     rng = random.Random(67)
     dens = (1, 2, q, q + 1, 3 * q ** 2 - 1, (q + 1) ** 2)
     for _ in range(20):
@@ -185,7 +186,9 @@ def test_bipoly_pair_is_normal_over_q_field():
             continue
         coeffs = sp.Poly(sp.together(e), x, y).coeffs()
         lcm = reduce(sp.lcm, (sp.fraction(sp.cancel(c))[1] for c in coeffs))
-        assert sp.expand(p.w.as_expr() * sp.LC(lcm, q)) == sp.expand(lcm)
+        assert p.w.LC > 0 and p.rep.gcd(p.w) == 1
+        assert sp.expand(p.w.as_expr()) == sp.expand(lcm * sp.sign(sp.LC(lcm,
+                                                                      q)))
         assert prim.w == lead_yx(prim.rep) and lead_yx(prim.rep) != 0
 
 
@@ -274,11 +277,14 @@ def test_operator_results_are_canonical_fuzz():
 
 def test_ground_denominator_matches_gcd_path():
     # a ground denominator skips the gcd; the pair must be the canonical
-    # one that cancelling a non-ground common factor reaches
+    # one that cancelling a non-ground common factor reaches.  A scalar c
+    # enters the pair ring as its canonical pair (cn, cd), so n/c is
+    # n*cd/cn over the ground cn
+    from ratexact.core import from_scalar
     for mode in (P, T, rational("3/2"), root_of_unity(2), root_of_unity(3),
                  root_of_unity(4)):
         ring = mode.pair_ring()
-        dom = ring.domain
+        dom = mode.coeff_domain()
         Y, X = ring.gens[:2]
         grounds = [dom.convert(-4), dom.convert(sp.Rational(2, 3))]
         if mode.kind == ROOT_OF_UNITY:
@@ -286,13 +292,16 @@ def test_ground_denominator_matches_gcd_path():
             grounds += [z, z + dom.convert(2)]
         n = 3 * X ** 2 * Y - 5 * X + 7
         if mode.kind == ROOT_OF_UNITY:
-            n = n * ring.ground_new(mode.q_element()) + Y
+            n = n * from_scalar(mode.q_element(), mode)[0] + Y
         u = X + Y + 1
         for c in grounds:
-            d = ring.ground_new(c)
-            fast = RatFunc.from_ring(n, d, mode)
-            slow = RatFunc.from_ring(n * u, d * u, mode)
+            cn, cd = from_scalar(c, mode)
+            assert cn.is_ground and cd.is_ground
+            fast = RatFunc.from_ring(n * cd, cn, mode)
+            slow = RatFunc.from_ring(n * cd * u, cn * u, mode)
             assert (fast.numer, fast.denom) == (slow.numer, slow.denom)
+            assert fast == RatFunc.from_ring(n, ring.one, mode).mul_ground(
+                dom.quo(dom.one, c))
 
 
 def test_modular_coprimality_never_hides_a_common_factor():
@@ -402,16 +411,20 @@ _TREE_MODES = {"none": P, "3/2": rational("3/2"), "symbolic": T,
 
 def _tree_factors(mode):
     """Denominator factors in mode's pair ring; a list of fractions
-    drawn from them shares factors between denominators."""
+    drawn from them shares factors between denominators.  c = cn/cd is
+    q (the generator over Q(q)), or 2 without q, and the factors
+    c*x + y + 1 and x - c are held cleared of cd."""
+    from ratexact.core import from_scalar
     ring = mode.pair_ring()
     Y, X = ring.gens[:2]
     if mode.kind == TRANSCENDENTAL:
-        c = ring.gens[2]
+        cn, cd = ring.gens[2], ring.one
     elif mode.has_q:
-        c = ring.ground_new(mode.q_element())
+        cn, cd = from_scalar(mode.q_element(), mode)
     else:
-        c = ring(2)
-    return ring, [X, Y, X + 1, X * Y - 1, c * X + Y + 1, X - c]
+        cn, cd = ring(2), ring.one
+    return ring, [X, Y, X + 1, X * Y - 1, cn * X + cd * (Y + 1),
+                  cd * X - cn]
 
 
 _fraction = st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -446,7 +459,8 @@ def test_tree_sum_equals_left_to_right_sum(token, fractions, cancel):
 # -- canonical scaling ---------------------------------------------------
 
 def _content_ratio_normal(n, d):
-    """The scaling by the ratio of the two QQ contents, as a reference."""
+    """The scaling by the ratio of the two QQ contents, as a reference,
+    for n and d over QQ."""
     if not n:
         return n, d.ring.one
     dom = d.ring.domain
@@ -465,29 +479,34 @@ _coeff = st.fractions(min_value=-40, max_value=40, max_denominator=60)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_normal_scaling_is_integer_primitive(mode, data):
+    # a pair drawn over QQ[y, x] (or QQ[y, x, q]) is cleared to the
+    # integer pair ring, and _normal scales it as the ratio of the QQ
+    # contents does
     from ratexact.core import _normal
     ring = mode.pair_ring()
-    dom = ring.domain
+    qring = ring.clone(domain=sp.QQ)
+    dom = qring.domain
     monomial = st.tuples(*[st.integers(0, 3)] * ring.ngens)
 
     def poly(min_size):
         terms = data.draw(st.dictionaries(monomial, _coeff,
                                           min_size=min_size, max_size=5))
-        return ring.from_dict({m: dom(c.numerator, c.denominator)
-                               for m, c in terms.items() if c})
+        return qring.from_dict({m: dom(c.numerator, c.denominator)
+                                for m, c in terms.items() if c})
 
     n, d = poly(0), poly(1)
     if not d:
-        d = ring(data.draw(st.sampled_from([-3, 5])))
-    got = _normal(n, d)
-    assert got == _content_ratio_normal(n, d)
+        d = qring(data.draw(st.sampled_from([-3, 5])))
+    L = math.lcm(*(c.denominator for p in (n, d) for c in p.itercoeffs()))
+    got = _normal((n * L).set_ring(ring), (d * L).set_ring(ring))
+    assert got == tuple(p.set_ring(ring) for p in _content_ratio_normal(n, d))
     gn, gd = got
+    assert gn.ring == ring and ring.domain == sp.ZZ
     coeffs = [*gn.itercoeffs(), *gd.itercoeffs()]
-    assert all(c.denominator == 1 for c in coeffs)
-    assert reduce(math.gcd, (c.numerator for c in coeffs)) == 1
+    assert reduce(math.gcd, coeffs) == 1
     assert gd.LC > 0
     # the same rational function: gn/gd == n/d
-    assert gn * d == n * gd
+    assert gn.set_ring(qring) * d == n * gd.set_ring(qring)
 
 
 def test_inverse_mod_over_several_steps():
@@ -539,3 +558,108 @@ def test_swap_and_qshift_keep_canonical_pairs_and_sum_identity():
             r = phi.delta(f)
             assert is_difference(f, phi.pow(f, 1), r - a, a)
             assert not is_difference(f, phi.pow(f, 1), r, a)
+
+
+# -- the integer canonical-pair contract ---------------------------------
+
+_INT_MODES = {"none": P, "2": rational(2), "3/2": rational("3/2"),
+              "-5/7": rational("-5/7"), "symbolic": T}
+
+
+def _q_expr(mode):
+    """q as a sympy Expr in mode: the symbol, or its rational value (1
+    without q)."""
+    if mode.kind == TRANSCENDENTAL:
+        return q
+    v = mode.value or 1
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def _assert_integer_pair(f):
+    """f's pair lies in the integer pair ring, coprime, with coprime
+    contents and a positive leading denominator coefficient."""
+    n, d = f.numer, f.denom
+    assert n.ring == d.ring == f.mode.pair_ring()
+    assert n.ring.domain == sp.ZZ
+    assert d.LC > 0
+    assert math.gcd(*n.itercoeffs(), *d.itercoeffs()) == 1
+    assert (n.gcd(d) == 1) if n else d == 1
+
+
+def _assert_bipoly_pair(p):
+    """p's (rep, w) is coprime in the integer pair ring, with w free of y
+    and x and a positive leading coefficient."""
+    rep, w = p.rep, p.w
+    assert rep.ring == w.ring == p.mode.pair_ring()
+    assert free_of_gen(w, 0) and free_of_gen(w, 1) and w.LC > 0
+    assert (rep.gcd(w) == 1) if rep else w == 1
+
+
+_term = st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(0, 2),
+                  st.integers(0, 2), st.integers(0, 1))
+
+
+def _poly_expr(terms, qv):
+    return sum((sp.Rational(a, b) * x ** i * y ** j * qv ** k
+                for a, b, i, j, k in terms), sp.Integer(0))
+
+
+@pytest.mark.parametrize("token", sorted(_INT_MODES))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_canonical_pairs(token, data):
+    # every operation maps canonical integer pairs to canonical integer
+    # pairs equal to sympy's cancel of the same Exprs
+    mode = _INT_MODES[token]
+    qv = _q_expr(mode)
+    terms = st.lists(_term, min_size=1, max_size=4)
+
+    def ratfunc():
+        num = _poly_expr(data.draw(terms), qv)
+        den = _poly_expr(data.draw(terms), qv)
+        e = num / (den if den != 0 else sp.Integer(1))
+        return RatFunc(e, mode), e
+
+    (f, ef), (g, eg), (h, eh) = ratfunc(), ratfunc(), ratfunc()
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 5))
+    if mode.kind == TRANSCENDENTAL:
+        dom = mode.coeff_domain()
+        c = (dom.convert(a) * mode.q_element() + 2) / (mode.q_element() + b)
+        ec = (a * q + 2) / (q + b)
+    else:
+        c, ec = sp.QQ(a, b), sp.Rational(a, b)
+    n = data.draw(st.integers(-2, 3))
+    k = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    results = [(f + g, ef + eg), (f - g, ef - eg), (f * g, ef * eg),
+               (f.shift_x(n), ef.subs(x, x + n)),
+               (f.shift_y(n), ef.subs(y, y + n)),
+               (f.deriv_y(), sp.diff(ef, y)),
+               (f.swap_xy(), ef.subs({x: y, y: x}, simultaneous=True)),
+               (f.mul_ground(c), ef * ec),
+               (tree_sum([f, g, h, -g], mode), ef + eh)]
+    if mode.has_q:
+        results.append((f.qshift_x(k), ef.subs(x, qv ** k * x)))
+    if not g.is_zero:
+        results.append((f / g, ef / eg))
+    if n > 0 or not f.is_zero:
+        results.append((f ** n, ef ** n))
+    for r, e in [(f, ef), (g, eg), (h, eh)]:  # the Expr reader
+        assert sp.cancel(r.as_expr() - e) == 0
+    for r, e in [(f, ef)] + results:
+        _assert_integer_pair(r)
+        want = RatFunc(sp.cancel(e), mode)
+        assert (r.numer, r.denom) == (want.numer, want.denom)
+        _assert_bipoly_pair(r.num)
+        _assert_bipoly_pair(r.den)
+    # BiPolys with constant denominators, and their operations
+    p = BiPoly(_poly_expr(data.draw(terms), qv), mode)
+    p2 = BiPoly(_poly_expr(data.draw(terms), qv), mode)
+    u, prim = p.canonical()
+    ps = [p, p2, prim, p + p2, p - p2, p * p2, p ** 2, p * c,
+          p.shift(x, n), p.shift(y, n), p.swap_xy(), p.coeff_x(1)]
+    if mode.has_q:
+        ps.append(p.qshift_x(k))
+    for r in ps:
+        _assert_bipoly_pair(r)
+    assert prim * u == p
+    assert sp.expand(p.expr) == sp.expand(RatFunc(p, mode).as_expr())
