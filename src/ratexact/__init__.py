@@ -10,7 +10,7 @@ from .core import BiPoly, RatFunc
 from .factorization import Factorization, factor
 from .orbits import (Operator, Pair, SHIFT_X, QSHIFT_X, DERIV_Y, SHIFT_Y,
                      SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
-                     ROU_DERIV_Y, ROU_SHIFT_Y, OrbitWitness, group_orbits,
+                     ROU_DERIV_Y, ROU_SHIFT_Y, group_orbits,
                      shift_equivalent, sigma_equivalent, q_equivalent,
                      joint_equivalent)
 from .residues import (PfdTerm, Decomposition, partial_fractions,

@@ -701,7 +701,9 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return self._new(self.rep ** int(n), self.w ** int(n))
+        n = int(n)  # 0^0 == 1, as in the parser
+        return (self._new(self.rep ** n, self.w ** n) if n
+                else BiPoly.ground(1, self.mode))
 
     def __eq__(self, other):
         return (self.rep, self.w) == self._lift(other)
@@ -886,13 +888,12 @@ class RatFunc:
     def __pow__(self, n):
         # powers of a reduced pair stay reduced; only the scaling changes
         n = int(n)
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDenominator("division by zero")
-            return RatFunc._new(*_normal(self.denom ** -n, self.numer ** -n),
-                                self.mode)
-        return RatFunc._new(*_normal(self.numer ** n, self.denom ** n),
-                            self.mode)
+        if n == 0:  # 0^0 == 1, as in the parser
+            return RatFunc(1, self.mode)
+        if n < 0 and self.is_zero:
+            raise ZeroDenominator("division by zero")
+        a, b = (self.numer, self.denom) if n > 0 else (self.denom, self.numer)
+        return RatFunc._new(*_normal(a ** abs(n), b ** abs(n)), self.mode)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):

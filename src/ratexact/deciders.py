@@ -16,7 +16,7 @@ from .core import (BiPoly, RatFunc, is_difference, qshift_gen, ring_lcm,
                    shift_gen, yx_coeffs)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
-                     ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair)
+                     ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair, group_orbits)
 from .qmodes import ROOT_OF_UNITY, x
 from .reductions import (from_w, phi_dy_reduced_form, pull_back, reduce_y,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity,
@@ -161,7 +161,7 @@ def _hull_candidates(factors, op, R):
     """
     mult = dict(factors)
     out = []
-    for rep, members in op.orbits(mult):
+    for rep, members in group_orbits(mult, op):
         offsets = [off for off, _ in members.values()]
         first = offsets[0]
         top = max(mult[p] for p in members)

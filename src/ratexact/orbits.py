@@ -4,8 +4,11 @@ equivalence of polynomials, and the grouping of polynomials into orbits.
 Two polynomials are equivalent when an integer power of the relevant
 operator maps one onto a scalar multiple of the other.  Every candidate
 exponent is recovered deterministically from coefficient structure (no
-searching except in the finite root-of-unity case) and every witness is
-re-verified by explicit substitution before being returned.
+searching except in the finite root-of-unity case) and decided on the
+pair-ring data by cross-multiplication; a witness is verified by one
+substitution before it is returned, and only its scale leaves the pair
+ring.  The witnesses of ``group_orbits`` are composed from these verified
+witnesses and the re-base of each orbit, with no second test.
 """
 
 from dataclasses import dataclass
@@ -15,16 +18,6 @@ import sympy as sp
 from .core import BiPoly, lead_yx, to_scalar
 from .errors import QModeMismatch
 from .qmodes import PLAIN, RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x, y
-
-
-@dataclass(frozen=True)
-class OrbitWitness:
-    """tau_{x,q}^m sigma_y^n (source) == scale * target, scale a nonzero
-    element of mode.coeff_domain()."""
-
-    m: int
-    n: int
-    scale: object
 
 
 def _ground_ratio(a, b):
@@ -40,16 +33,40 @@ def _associate(p, p2):
     return lead and to_scalar(lead[0] * p2.w, lead[1] * p.w, p.mode)
 
 
-def _rational(c, dom):
-    """The element c of the ground field dom as a rational number, or None
-    when it is not one."""
-    if dom.is_QQ:
-        return c
-    if dom.is_Algebraic:  # Q(zeta_m), in the power basis of zeta_m
-        return c.LC() if c.is_ground else None
-    if c.numer.is_ground and c.denom.is_ground:  # Q(q)
-        return c.numer.LC / c.denom.LC
-    return None
+def _integer_ratio(a, b):
+    """The integer a/b for pair-ring elements a, b != 0 free of y and x,
+    or None when a/b is not one."""
+    dom = a.ring.domain
+    if dom.is_Field:  # Q(zeta_m), in the power basis of zeta_m
+        c = dom.quo(a.LC, b.LC)
+        return (c.LC().numerator if c.is_ground and c.LC().denominator == 1
+                else None)
+    k, r = divmod(a.LC, b.LC)
+    return None if r or a != b * k else k
+
+
+def _shift_power(a, b, i):
+    """The n forced on shift_i^n(a) == c*b, c ground, by the two top
+    coefficients in generator i of the pair-ring elements a, b, or None
+    when they force none; n is not verified."""
+    d = a.degree(i)
+    if d != b.degree(i):
+        return None
+    if d <= 0:
+        return 0
+    ca = a.coeff_wrt(i, d)
+    lead = _ground_ratio(ca, b.coeff_wrt(i, d))
+    if lead is None:
+        return None
+    la, lb = lead
+    # shift_i^n(a) == c*b forces c_{d-1}(a) + n*d*c_d(a) == c*c_{d-1}(b),
+    # which is la*c_{d-1}(b) - lb*c_{d-1}(a) == n*d*lb*c_d(a)
+    r = b.coeff_wrt(i, d - 1) * la - a.coeff_wrt(i, d - 1) * lb
+    if not r:
+        return 0
+    t = _ground_ratio(r, ca * lb)
+    t = t and _integer_ratio(*t)
+    return None if t is None or t % d else t // d
 
 
 def shift_equivalent(p: BiPoly, p2: BiPoly, var):
@@ -57,30 +74,8 @@ def shift_equivalent(p: BiPoly, p2: BiPoly, var):
 
     Works for var = y (sigma_y-equivalence) and var = x alike.
     """
-    i = p.rep.ring.symbols.index(var)
-    a, b = p.rep, p2.rep
-    d = a.degree(i)
-    if d != b.degree(i):
-        return None
-    if d <= 0:
-        s = _associate(p, p2)
-        return None if s is None else (0, s)
-    ca = a.coeff_wrt(i, d)
-    lead = _ground_ratio(ca, b.coeff_wrt(i, d))
-    if lead is None:
-        return None
-    la, lb = lead
-    # shift_var^n(p) == s * p2 forces c_{d-1}(p) + n*d*c_d(p) == s*c_{d-1}(p2),
-    # which is la*c_{d-1}(b) - lb*c_{d-1}(a) == n*d*lb*c_d(a) on the reps
-    r = b.coeff_wrt(i, d - 1) * la - a.coeff_wrt(i, d - 1) * lb
-    n = 0
-    if r:
-        t = _ground_ratio(r, ca * lb)
-        t = t and _rational(to_scalar(*t, p.mode), p.mode.coeff_domain())
-        if t is None or t.denominator != 1 or t.numerator % d:
-            return None
-        n = t.numerator // d
-    s = _associate(p.shift(var, n), p2)
+    n = _shift_power(p.rep, p2.rep, p.rep.ring.symbols.index(var))
+    s = None if n is None else _associate(p.shift(var, n) if n else p, p2)
     return None if s is None else (n, s)
 
 
@@ -97,23 +92,21 @@ def _multiplicity(t, n):
     return k
 
 
-def _solve_q_power(ratio, delta, mode):
-    """Integer m with q^(m*delta) == ratio in the ground field, or None."""
-    qv = mode.q_element()
-    if mode.kind == TRANSCENDENTAL:
-        if len(ratio.numer) != 1 or len(ratio.denom) != 1:
-            return None
-        e = ratio.numer.degree() - ratio.denom.degree()
-        if e % delta or qv ** e != ratio:
+def _solve_q_power(n, d, delta, mode):
+    """Integer m with q^(m*delta) == n/d, for pair-ring elements n, d != 0
+    free of y and x, or None."""
+    if mode.kind == TRANSCENDENTAL:  # n/d == q^e, cross-multiplied
+        e, Q = n.degree(2) - d.degree(2), n.ring.gens[2]
+        if e % delta or n * Q ** max(-e, 0) != d * Q ** max(e, 0):
             return None
         return e // delta
+    # over Q and Q(zeta_m) the ratio is one rational or ANP division
+    qv, ratio = mode.q_element(), to_scalar(n, d, mode)
     if mode.kind == RATIONAL:
         # q = a/b in lowest terms, |q| != 1: q^k has |a|^|k| over b^|k| for
         # k > 0 and the reverse for k < 0, so k is a count of exact divisions
         a, b = abs(qv.numerator), qv.denominator
         n, d = abs(ratio.numerator), ratio.denominator
-        if not n:
-            return None
         k = (_multiplicity(a, n) - _multiplicity(a, d) if a > 1
              else _multiplicity(b, d) - _multiplicity(b, n))
         if k % delta or qv ** k != ratio:
@@ -151,8 +144,7 @@ def q_equivalent(p: BiPoly, p2: BiPoly):
         if None in leads:
             return None
         (n0, d0), (n1, d1) = leads
-        m = _solve_q_power(to_scalar(n1 * d0, d1 * n0, mode), sup[1] - sup[0],
-                           mode)
+        m = _solve_q_power(n1 * d0, d1 * n0, sup[1] - sup[0], mode)
         if m is None:
             return None
     s = _associate(p.qshift_x(m), p2)
@@ -160,12 +152,12 @@ def q_equivalent(p: BiPoly, p2: BiPoly):
 
 
 def joint_equivalent(p: BiPoly, p2: BiPoly):
-    """OrbitWitness for the joint (tau_{x,q}, sigma_y)-orbit, or None.
+    """((m, n), scale) with tau_{x,q}^m sigma_y^n(p) == scale * p2, scale
+    in k, for the joint (tau_{x,q}, sigma_y)-orbit, or None.
 
     The sigma-power n is recovered first from the y-structure of an
-    x-coefficient, then the tau-power m as in q_equivalent; the combined
-    witness is verified by full substitution.
-    """
+    x-coefficient, then the tau-power m, and the witness verified, as in
+    q_equivalent against sigma_y^-n(p2)."""
     mode = p.mode
     if mode.kind == PLAIN:
         raise QModeMismatch("joint orbit test requires a q-mode")
@@ -174,22 +166,16 @@ def joint_equivalent(p: BiPoly, p2: BiPoly):
         return None
     n = 0
     for i in reversed(sup):
-        ai, ai2 = p.coeff_x(i), p2.coeff_x(i)
-        if ai.degree(y) != ai2.degree(y):
+        ai, ai2 = p.rep.coeff_wrt(1, i), p2.rep.coeff_wrt(1, i)
+        if ai.degree(0) != ai2.degree(0):
             return None
-        if ai.degree(y) >= 1:
-            res = shift_equivalent(ai, ai2, y)
-            if res is None:
+        if ai.degree(0) >= 1:
+            n = _shift_power(ai, ai2, 0)
+            if n is None:
                 return None
-            n = res[0]
             break
     res = q_equivalent(p, p2.shift(y, -n))
-    if res is None:
-        return None
-    m, s = res
-    if p.qshift_x(m).shift(y, n) == p2 * s:
-        return OrbitWitness(m, n, s)
-    return None  # pragma: no cover - candidate always verifies or None earlier
+    return None if res is None else ((res[0], n), res[1])
 
 
 # -- operators, operator pairs and orbit grouping ---------------------
@@ -230,11 +216,6 @@ class Operator:
             return q_equivalent(p, p2)
         return shift_equivalent(p, p2, self.var)
 
-    def orbits(self, dens):
-        """group_orbits of dens under the powers of this operator."""
-        return group_orbits(dens, self.equivalent,
-                            lambda p, offsets: self.pow(p, min(offsets)))
-
     def summable(self, f):
         """The summability test of this x-operator on f, a rational
         function of x over k(y): a SummabilityResult."""
@@ -266,27 +247,39 @@ ROU_DERIV_Y = Pair(QSHIFT_X, DERIV_Y, "rou:deriv_y")
 ROU_SHIFT_Y = Pair(QSHIFT_X, SHIFT_Y, "rou:shift_y")
 
 
-def group_orbits(dens, equiv, rebase):
+def group_orbits(dens, dx, dy=None):
     """Partition the distinct polynomials of dens into orbits, in order of
-    first appearance.
+    first appearance: orbits of the powers of dx, or with dy = SHIFT_Y of
+    the joint (tau_{x,q}, sigma_y) powers.
 
-    equiv(p, p2) is (offset, scale) with op^offset(p) == scale * p2, or
-    None off the orbit of p; rebase(p, offsets) is the translate of p by
-    the smallest of the offsets.  Each orbit is re-based on the canonical
-    form of that translate, so that no offset is negative.  Returns
-    [(rep, {den: (offset, scale)})] with op^offset(rep) == scale * den."""
-    groups = []  # (members, their offsets from the first member)
+    Returns [(rep, {den: (offset, scale)})] with op^offset(rep) == scale *
+    den, in the shape of dx.equivalent, or of joint_equivalent with
+    offset (m, n).  Each orbit is re-based on the canonical form u*rep of
+    the translate of its first member by the smallest offsets, so that no
+    offset is negative: a member's witness is the one found while
+    grouping, its offset less the re-base's and its scale over u."""
+    joint = dy == SHIFT_Y
+    equiv, zero = (joint_equivalent, (0, 0)) if joint else (dx.equivalent, 0)
+    groups = []  # (first member, {member: witness from the first})
     for d in dict.fromkeys(dens):
-        for members, offsets in groups:
-            w = equiv(members[0], d)
+        for first, members in groups:
+            w = equiv(first, d)
             if w is not None:
-                members.append(d)
-                offsets.append(w[0])
+                members[d] = w
                 break
         else:
-            groups.append(([d], [equiv(d, d)[0]]))
+            groups.append((d, {d: (zero, d.mode.coeff_domain().one)}))
     out = []
-    for members, offsets in groups:
-        _, rep = rebase(members[0], offsets).canonical()
-        out.append((rep, {d: equiv(rep, d) for d in members}))
+    for first, members in groups:
+        offsets = [off for off, _ in members.values()]
+        if joint:
+            m, n = map(min, zip(*offsets))
+            u, rep = dy.pow(dx.pow(first, m), n).canonical()
+            less = {o: (o[0] - m, o[1] - n) for o in offsets}
+        else:
+            r = min(offsets)
+            u, rep = dx.pow(first, r).canonical()
+            less = {o: o - r for o in offsets}
+        out.append((rep, {d: (less[off], s / u)
+                          for d, (off, s) in members.items()}))
     return out

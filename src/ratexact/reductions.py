@@ -6,8 +6,10 @@ pair, and the root-of-unity trace reduction.
 Every routine returns certificates alongside residuals and is validated by
 exact recomposition; nothing here is numeric.  The reductions keep every
 fraction of partial fractions over a denominator free of the operator's
-variable; ``orbit_collapse`` is the one routine that telescopes along an
-orbit.
+variable.  One loop, ``_collapse``, serves the Abramov reduction and the
+mixed reduced forms: it groups the poles with ``group_orbits`` and
+collapses each onto its orbit's representative with ``orbit_collapse``,
+the one routine that telescopes along an orbit.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,7 @@ from .core import (BiPoly, RatFunc, cofactors, exponent_map, inverse_mod,
                    is_difference, prem_y, qshift_gen, tree_sum)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
-                     SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits,
-                     joint_equivalent)
+                     SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits)
 from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .residues import PfdTerm, partial_fractions
 
@@ -92,7 +93,8 @@ def hermite_reduce_y(f: RatFunc):
             Z = a.denom * rho * m * (j - 1)
             parts.append(RatFunc.from_ring(-T * cof * P ** (e - j), Z, mode))
             X = S * (j - 1) + T.diff(Y)
-        entries.append((RatFunc.from_ring(a.numer, a.denom * w, mode), d, 1))
+        entries.append(PfdTerm(RatFunc.from_ring(a.numer, a.denom * w, mode),
+                               d, 1))
     hQ = tree_sum(parts, mode)
     return (RatFunc.from_ring(hQ.numer, hQ.denom * Q, mode),
             _collect_terms(entries, mode))
@@ -136,7 +138,7 @@ def abramov_reduce(f: RatFunc, op):
     sends the polynomial part to its discrete antiderivative; for the
     q-shift, x^j == delta_q(x^j/(q^j - 1)) for j != 0, the poles at x = 0
     likewise, and the x^0 term is left as a term over 1.  Every other
-    pole is collapsed onto its orbit's representative."""
+    pole is collapsed onto its orbit's representative by ``_collapse``."""
     mode = f.mode
     if op.kind == QSHIFT and mode.kind not in (TRANSCENDENTAL, RATIONAL):
         raise QModeMismatch("q-summability requires q not a root of unity")
@@ -144,7 +146,7 @@ def abramov_reduce(f: RatFunc, op):
     def back(v):  # v with op's variable put back in place
         return v.swap_xy() if op.var == x else v
     dec = partial_fractions(back(f))
-    parts, entries, poles = [], [], []
+    parts, head, poles = [], [], []
     if op.kind == QSHIFT:
         ring, qv = mode.pair_ring(), mode.q_element()
         X = RatFunc.from_ring(ring.gens[1], ring.one, mode)
@@ -157,7 +159,7 @@ def abramov_reduce(f: RatFunc, op):
             if j:
                 parts.append(c * power(j))
             else:
-                entries.append((c, BiPoly.ground(1, mode), 0))
+                head.append(PfdTerm(c, BiPoly.ground(1, mode), 0))
     else:
         parts.append(back(discrete_antiderivative(dec.poly_part)))
     for t in dec.terms:
@@ -165,16 +167,9 @@ def abramov_reduce(f: RatFunc, op):
         if op.kind == QSHIFT and d == X.num:
             parts.append(a * power(-t.j))
         else:
-            poles.append((a, d, t.j))
-    for rep, members in op.orbits(d for _, d, _ in poles):
-        for a, d, j in poles:
-            if d in members:
-                ell, scale = members[d]
-                u, _, collapsed = orbit_collapse(a.mul_ground(scale ** j),
-                                                 rep, j, ell, 0, op, op)
-                parts.append(u)
-                entries.append((collapsed.num, rep, j))
-    return tree_sum(parts, mode), _collect_terms(entries, mode)
+            poles.append(PfdTerm(a, d, t.j))
+    us, _, terms = _collapse(poles, op, None, mode)
+    return tree_sum(parts + us, mode), tuple(head) + terms
 
 
 def abramov_reduce_y(f: RatFunc):
@@ -184,12 +179,12 @@ def abramov_reduce_y(f: RatFunc):
 
 
 def _collect_terms(entries, mode):
-    """PfdTerms a/d^j from the (a, d, j) in entries, the numerators of
-    equal (d, j) summed by one tree sum each, in order of first
-    appearance; a zero sum is dropped."""
+    """The PfdTerms of entries with the numerators of equal (den, j)
+    summed by one tree sum each, in order of first appearance; a zero sum
+    is dropped."""
     groups = {}
-    for a, d, j in entries:
-        groups.setdefault((d, j), []).append(a)
+    for t in entries:
+        groups.setdefault((t.den, t.j), []).append(t.num)
     terms = (PfdTerm(tree_sum(ns, mode), d, j)
              for (d, j), ns in groups.items())
     return tuple(t for t in terms if not t.num.is_zero)
@@ -218,6 +213,27 @@ def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
                  mode)
     collapsed = PfdTerm(phi2.pow(am, -n), d, j)
     return u, v, collapsed
+
+
+def _collapse(poles, dx, dy, mode):
+    """(us, vs, terms): each PfdTerm a/d^j of poles collapsed by
+    ``orbit_collapse`` onto the representative of d's orbit under dx, or
+    under (dx, sigma_y) when dy is SHIFT_Y (``group_orbits``), so that the
+    poles sum to sum(dx(u) - u) + sum(sigma_y(v) - v) + sum(terms).  The
+    terms are collected per (rep, j), orbit by orbit."""
+    groups = group_orbits([t.den for t in poles], dx, dy)
+    orbit = {d: (k, rep, w) for k, (rep, members) in enumerate(groups)
+             for d, w in members.items()}
+    us, vs, entries = [], [], []
+    for t in sorted(poles, key=lambda t: orbit[t.den][0]):
+        _, rep, (off, scale) = orbit[t.den]
+        m, n = off if dy == SHIFT_Y else (off, 0)
+        u, v, collapsed = orbit_collapse(t.num.mul_ground(scale ** t.j), rep,
+                                         t.j, m, n, dx, SHIFT_Y)
+        us.append(u)
+        vs.append(v)
+        entries.append(collapsed)
+    return us, vs, _collect_terms(entries, mode)
 
 
 def _absorb_summable(terms, dx):
@@ -256,32 +272,10 @@ def _reduced_form(f: RatFunc, pair) -> ReducedForm:
         raise QModeMismatch(
             "q-shift reduced form requires q not a root of unity")
     h, terms = reduce_y(f, dy)
-    if dy.kind == DERIV:
-        def equiv(p, p2):
-            w = dx.equivalent(p, p2)
-            return None if w is None else ((w[0], 0), w[1])
-    else:
-        def equiv(p, p2):
-            w = joint_equivalent(p, p2)
-            return None if w is None else ((w.m, w.n), w.scale)
-
-    def rebase(p, offsets):
-        return SHIFT_Y.pow(dx.pow(p, min(m for m, _ in offsets)),
-                           min(n for _, n in offsets))
-    g_parts, h_parts, residues = [], [h], []
-    for rep, members in group_orbits([t.den for t in terms], equiv, rebase):
-        for t in terms:
-            if t.den not in members:
-                continue
-            (m, n), scale = members[t.den]
-            A = t.num.mul_ground(scale ** t.j)
-            u, v, collapsed = orbit_collapse(A, rep, t.j, m, n, dx, SHIFT_Y)
-            g_parts.append(u)
-            h_parts.append(v)
-            residues.append((collapsed.num, rep, t.j))
-    extra, rest = _absorb_summable(_collect_terms(residues, mode), dx)
-    return ReducedForm(tree_sum(g_parts + extra, mode),
-                       tree_sum(h_parts, mode), rest, pair)
+    us, vs, residues = _collapse(terms, dx, dy, mode)
+    extra, rest = _absorb_summable(residues, dx)
+    return ReducedForm(tree_sum(us + extra, mode), tree_sum([h] + vs, mode),
+                       rest, pair)
 
 
 def phi_dy_reduced_form(f: RatFunc, phi=SHIFT_X) -> ReducedForm:

@@ -18,7 +18,7 @@ from typing import Tuple
 from .core import (BiPoly, RatFunc, free_of_gen, inverse_mod, prem_y,
                    tree_sum)
 from .factorization import factor
-from .orbits import SHIFT_Y, shift_equivalent
+from .orbits import SHIFT_Y, group_orbits, shift_equivalent
 from .qmodes import y
 
 
@@ -101,15 +101,14 @@ def sigma_decomposition(f: RatFunc) -> Decomposition:
     every term denominator is sigma_y^ell(rep)^j for one of the pairwise
     sigma_y-inequivalent representatives rep."""
     plain = partial_fractions(f)
+    orbit = {d: (rep, w) for rep, members in
+             group_orbits([t.den for t in plain.terms], SHIFT_Y)
+             for d, w in members.items()}
     terms = []
-    for rep, members in SHIFT_Y.orbits(t.den for t in plain.terms):
-        for t in plain.terms:
-            if t.den in members:
-                ell, scale = members[t.den]
-                # sigma^ell(rep) = scale * den, so
-                # a/den^j = a*scale^j/sigma^ell(rep)^j
-                num = t.num.mul_ground(scale ** t.j)
-                terms.append(PfdTerm(num, rep, t.j, ell))
+    for t in plain.terms:
+        rep, (ell, scale) = orbit[t.den]
+        # sigma^ell(rep) = scale * den, so a/den^j = a*scale^j/sigma^ell(rep)^j
+        terms.append(PfdTerm(t.num.mul_ground(scale ** t.j), rep, t.j, ell))
     return Decomposition(plain.poly_part, tuple(terms))
 
 

@@ -42,6 +42,9 @@ def test_traced_run_matches_untraced():
     # the three pairs with q not a root of unity go through a reduced form
     assert totals["reductions.reduced_form"][0] == 3
     assert totals["reductions.trace"][0] == 2
+    # group_orbits tests a polynomial against the first member of each
+    # orbit until one matches, and never a member a second time
+    assert totals["orbits.equiv"][0] <= 6
     # the untraced program is back in place
     assert ratexact.cli.run_corpus_line(LINES[0]) == untraced[0]
     assert ratexact.cli.run_corpus_line.__module__ == "ratexact.cli"

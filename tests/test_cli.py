@@ -412,6 +412,17 @@ def test_orbit_distance_ceiling_is_exit_2(capsys):
     assert code == 0 and out["exact"] is True
 
 
+def test_degree_ceiling_is_exit_2(capsys):
+    # x^10000/y would take minutes to decide; it ends at the parser
+    import time
+    t = time.perf_counter()
+    code, out, err = run(capsys, "decide", "--pair", "dx-dy", "--expr",
+                         "x^10000/y")
+    assert time.perf_counter() - t < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: total degree 10000 exceeds the ceiling"), err
+
+
 def test_bad_input_is_exit_2(capsys, tmp_path):
     # bad input is a RatexactError or an OSError, never an internal error
     for q in ("abc", "1/0", "7" * 5000):

@@ -641,8 +641,10 @@ def test_integer_canonical_pairs(token, data):
         results.append((f.qshift_x(k), ef.subs(x, qv ** k * x)))
     if not g.is_zero:
         results.append((f / g, ef / eg))
-    if n > 0 or not f.is_zero:
+    if n >= 0 or not f.is_zero:
         results.append((f ** n, ef ** n))
+    # 0^0 == 1, as the parser reads it
+    results.append((RatFunc(0, mode) ** 0, sp.Integer(1)))
     for r, e in [(f, ef), (g, eg), (h, eh)]:  # the Expr reader
         assert sp.cancel(r.as_expr() - e) == 0
     for r, e in [(f, ef)] + results:
@@ -661,5 +663,6 @@ def test_integer_canonical_pairs(token, data):
         ps.append(p.qshift_x(k))
     for r in ps:
         _assert_bipoly_pair(r)
+    assert BiPoly(0, mode) ** 0 == 1
     assert prim * u == p
     assert sp.expand(p.expr) == sp.expand(RatFunc(p, mode).as_expr())

@@ -103,9 +103,10 @@ def test_joint_equivalent():
     b = BiPoly(q ** 3 * x * (y - 2) - 1, T)
     res = joint_equivalent(a, b)
     assert res is not None
-    assert (res.m, res.n) == (3, -2)
-    s = T.coeff_domain().to_sympy(res.scale)
-    assert sp.cancel(a.expr.subs(x, q ** res.m * x).subs(y, y + res.n)
+    (m, n), scale = res
+    assert (m, n) == (3, -2)
+    s = T.coeff_domain().to_sympy(scale)
+    assert sp.cancel(a.expr.subs(x, q ** m * x).subs(y, y + n)
                      - s * b.expr) == 0
 
 
@@ -134,20 +135,25 @@ def test_self_equivalence_forces_x_free():
     assert p.free_of(x)
     mixed = BiPoly(x * y - 1, T)
     w = joint_equivalent(mixed, mixed)
-    assert w is None or (w.m, w.n) == (0, 0)
+    assert w is None or w[0] == (0, 0)
 
 
 # -- Operator powers and group_orbits ---------------------------------
 
-_OPERATORS = {"shift_x": (SHIFT_X, P), "qshift_x@2/3": (QSHIFT_X, R23),
-              "qshift_x@-2": (QSHIFT_X, rational(-2)),
-              "qshift_x@zeta3": (QSHIFT_X, root_of_unity(3)),
-              "qshift_x@q": (QSHIFT_X, T), "shift_y": (SHIFT_Y, P)}
+JOINT = (QSHIFT_X, SHIFT_Y)
+# the operators of each grouping, one or the joint (tau_{x,q}, sigma_y)
+_OPERATORS = {"shift_x": ((SHIFT_X,), P), "qshift_x@2/3": ((QSHIFT_X,), R23),
+              "qshift_x@-2": ((QSHIFT_X,), rational(-2)),
+              "qshift_x@zeta3": ((QSHIFT_X,), root_of_unity(3)),
+              "qshift_x@q": ((QSHIFT_X,), T), "shift_y": ((SHIFT_Y,), P),
+              "joint@2/3": (JOINT, R23), "joint@q": (JOINT, T)}
 
 # coefficients of x^i y^j, i, j <= 2, of a random source polynomial
 _coeffs = st.lists(st.integers(-4, 4), min_size=9, max_size=9)
-# (source index, power, scale numerator) of one translate
-_translate = st.tuples(st.integers(0, 2), st.integers(-3, 3),
+# (source index, powers of the operators, scale numerator) of one
+# translate; a single operator takes the first power
+_translate = st.tuples(st.integers(0, 2),
+                       st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                        st.sampled_from((1, -1, 2, -3)))
 
 
@@ -160,24 +166,41 @@ def _source(coeffs, k, op):
     return op.var ** (k + 1) * (other + 1) + body
 
 
+def _substituted(p, ops, powers, mode):
+    """p with each of ops raised to its power in powers applied, by
+    substitution in p's expression: x -> q^m*x, x -> x + m, y -> y + n."""
+    qv = mode.has_q and mode.coeff_domain().to_sympy(mode.q_element())
+    e = p.expr
+    for op, n in zip(ops, powers):
+        e = e.subs(op.var, qv ** n * x if op == QSHIFT_X else op.var + n)
+    return BiPoly(sp.expand(e), mode)
+
+
 @pytest.mark.parametrize("name", sorted(_OPERATORS))
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(st.lists(_coeffs, min_size=3, max_size=3),
        st.lists(_translate, min_size=1, max_size=6))
 def test_group_orbits_of_random_translates(name, coeffs, translates):
-    op, mode = _OPERATORS[name]
+    ops, mode = _OPERATORS[name]
+    op = ops[0]
     sources = [BiPoly(_source(c, k, op), mode)
                for k, c in enumerate(coeffs)]
-    dens = [op.pow(sources[i], n) * c for i, n, c in translates]
-    groups = op.orbits(dens)
+    dens = []
+    for i, powers, c in translates:
+        d = sources[i]
+        for o, n in zip(ops, powers):
+            d = o.pow(d, n)
+        dens.append(d * c)
+    groups = group_orbits(dens, *ops)
     assert len(groups) == len({i for i, _, _ in translates})
     assert {d for _, members in groups for d in members} == set(dens)
     for rep, members in groups:
         assert len({d.degree(op.var) for d in members}) == 1
         for d, (off, scale) in members.items():
-            assert off >= 0
+            offs = off if len(ops) > 1 else (off,)
+            assert min(offs) >= 0
             assert mode.coeff_domain().of_type(scale)
-            assert op.pow(rep, off) == d * scale
+            assert _substituted(rep, ops, offs, mode) == d * scale
     f = RatFunc.from_pair(sources[0].expr, sources[1].expr, mode)
     for a, b in ((1, 2), (-2, 3), (3, -3)):
         assert op.pow(op.pow(f, a), b) == op.pow(f, a + b)
@@ -185,22 +208,48 @@ def test_group_orbits_of_random_translates(name, coeffs, translates):
 
 
 def test_group_orbits_joint_offsets():
-    # group_orbits takes any equivalence: here the joint (tau, sigma_y)
-    # witness, with offsets (m, n) and the translate by the smallest m and n
-    def equiv(p, p2):
-        w = joint_equivalent(p, p2)
-        return None if w is None else ((w.m, w.n), w.scale)
-
-    def rebase(p, offsets):
-        return SHIFT_Y.pow(QSHIFT_X.pow(p, min(m for m, _ in offsets)),
-                           min(n for _, n in offsets))
+    # the joint (tau, sigma_y) grouping: offsets (m, n) from the translate
+    # by the smallest m and n
     base = BiPoly(x * y - 1, T)
     dens = [base.qshift_x(2).shift(y, -1), base, base.shift(y, 3) * 2,
             BiPoly(x + y, T)]
-    groups = group_orbits(dens, equiv, rebase)
+    groups = group_orbits(dens, QSHIFT_X, SHIFT_Y)
     assert len(groups) == 2
     rep, members = groups[0]
     assert rep == base.shift(y, -1)
     assert members[dens[0]][0] == (2, 0)
     assert members[base][0] == (0, 1)
     assert members[dens[2]][0] == (0, 4)
+
+
+@pytest.mark.parametrize("ops, mode, name", [
+    ((SHIFT_Y,), P, "shift_equivalent"), ((SHIFT_X,), P, "shift_equivalent"),
+    ((QSHIFT_X,), R23, "q_equivalent"), (JOINT, T, "joint_equivalent")],
+    ids=["shift_y", "shift_x", "qshift_x@2/3", "joint@q"])
+def test_group_orbits_tests_each_member_once(monkeypatch, ops, mode, name):
+    # each polynomial is tested against the first member of each orbit
+    # found so far, until one matches, and never again: not against
+    # itself, and not against the re-based representative
+    import ratexact.orbits as orbits
+    calls = []
+    real = getattr(orbits, name)
+
+    def counted(p, p2, *rest):
+        calls.append((p, p2))
+        return real(p, p2, *rest)
+    monkeypatch.setattr(orbits, name, counted)
+    a = BiPoly(_source([1, -2, 0, 3, 1, 0, 0, 2, 1], 1, ops[0]), mode)
+    b = BiPoly(_source([2, 0, 1, 1, 0, 0, 3, 0, 0], 1, ops[0]) + 1, mode)
+    translates = [a]
+    for n in (2, -1, 3):
+        t = a
+        for o in ops:
+            t = o.pow(t, n)
+        translates.append(t * 3)
+    dens = translates[:2] + [b] + translates[2:] + [b, a]
+    groups = group_orbits(dens, *ops)
+    assert [len(members) for _, members in groups] == [4, 1]
+    # the translates test against a, b against a, and the two translates
+    # after b against a only
+    assert calls == [(a, translates[1]), (a, b), (a, translates[2]),
+                     (a, translates[3])]

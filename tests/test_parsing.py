@@ -10,8 +10,8 @@ import ratexact.core
 from ratexact import (RatFunc, parse_ratfunc, canonical_str,
                       plain, transcendental, rational, root_of_unity)
 from ratexact.cli import main
-from ratexact.errors import ExprSyntaxError, ZeroDenominator
-from ratexact.parsing import MAX_EXPONENT
+from ratexact.errors import ExprSyntaxError, RatexactError, ZeroDenominator
+from ratexact.parsing import MAX_DEGREE, MAX_EXPONENT
 from ratexact.qmodes import q, x, y
 
 P = plain()
@@ -102,8 +102,10 @@ def test_zero_to_the_zero_is_one():
 
 
 def test_exponent_ceiling():
-    f = parse_ratfunc("x^%d" % MAX_EXPONENT, P)
-    assert f == RatFunc(x ** MAX_EXPONENT, P)
+    # the largest exponent literal is accepted (on a constant: x^10000 is
+    # over the degree ceiling, test_degree_ceiling)
+    f = parse_ratfunc("2^%d" % MAX_EXPONENT, P)
+    assert f == RatFunc(2 ** MAX_EXPONENT, P)
     for text, col in (("x^%d" % (MAX_EXPONENT + 1), 3),
                       ("1 +\n 2^-0%d" % (MAX_EXPONENT + 1), 5),
                       ("2^999999999", 3), ("x^" + "9" * 5000, 3)):
@@ -111,6 +113,24 @@ def test_exponent_ceiling():
             parse_ratfunc(text, P)
         assert "exponent exceeds" in str(ei.value)
         assert (ei.value.line, ei.value.col) == (text.count("\n") + 1, col)
+
+
+def test_degree_ceiling():
+    # the total degree in x and y of the reduced numerator and denominator
+    # is at most MAX_DEGREE; q and constants do not count
+    k = MAX_DEGREE
+    for text, mode in (("x^%d/y" % (k - 1), P), ("x^%d/(y*q^2)" % (k - 1), T),
+                       ("(x*y)^%d/(x + 1)" % (k // 2), P),
+                       ("x^%d*y/(x^%d + x^%d)" % (k, k + 5, k), P),
+                       ("2^%d*x" % MAX_EXPONENT, P)):
+        assert parse_ratfunc(text, mode).denom
+    for text, top in (("x^%d/y" % (k + 1), k + 1), ("1/(x*y^%d)" % k, k + 1),
+                      ("y^%d*(x + 1)" % k, k + 1),
+                      ("x^%d" % MAX_EXPONENT, MAX_EXPONENT)):
+        with pytest.raises(RatexactError) as ei:
+            parse_ratfunc(text, T)
+        assert str(ei.value) == ("total degree %d exceeds the ceiling %d"
+                                 % (top, k))
 
 
 def test_parse_reduces_once(monkeypatch):
