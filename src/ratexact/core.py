@@ -588,6 +588,14 @@ def inverse_mod(c, P, mode):
     return s1, r1
 
 
+def _pair_hash(a, b):
+    """A hash of the pair of ring elements (a, b) from their terms.  Not
+    ``hash((a, b))``: sympy caches a PolyElement's hash on first use, and
+    a quotient that ``div`` or ``exquo`` builds in place keeps the hash
+    of zero."""
+    return hash((frozenset(a.items()), frozenset(b.items())))
+
+
 # -- polynomials ------------------------------------------------------
 
 
@@ -709,7 +717,7 @@ class BiPoly:
         return (self.rep, self.w) == self._lift(other)
 
     def __hash__(self):
-        return hash((self.rep, self.w))
+        return _pair_hash(self.rep, self.w)
 
     def __repr__(self):
         return "BiPoly(%s)" % self.expr
@@ -718,16 +726,25 @@ class BiPoly:
 
     def canonical(self):
         """(unit, primitive) with self = unit * primitive; the unit is an
-        element of mode.coeff_domain()."""
-        P, dom = self.rep, self.mode.coeff_domain()
+        element of mode.coeff_domain(), one when self is primitive."""
+        lead, prim = self.primitive()
+        if prim is self:
+            return self.mode.coeff_domain().one, self
+        return to_scalar(lead, self.w, self.mode), prim
+
+    def primitive(self):
+        """(lead, primitive) with self = lead/w * primitive, lead a
+        pair-ring element free of y and x; primitive is self when lead ==
+        w.  The primitive part is integer-primitive with positive leading
+        coefficient over Q and monic in y and x over Q(q) and Q(zeta_m)."""
+        P = self.rep
         if self.is_zero:
-            return dom.one, self
-        if dom == QQ:  # integer-primitive with positive leading coefficient
+            return self.w, self
+        if self.mode.coeff_domain() == QQ:
             lead = P.ring(P.content() if P.LC > 0 else -P.content())
-        else:  # monic in y and x
+        else:
             lead = lead_yx(P)
-        u = to_scalar(lead, self.w, self.mode)
-        return u, (self if u == dom.one else self._new(P, lead))
+        return lead, (self if lead == self.w else self._new(P, lead))
 
     # -- operator actions ---------------------------------------------
 
@@ -901,7 +918,7 @@ class RatFunc:
         return self.numer == other.numer and self.denom == other.denom
 
     def __hash__(self):
-        return hash((self.numer, self.denom))
+        return _pair_hash(self.numer, self.denom)
 
     def __repr__(self):
         return "RatFunc(%s)" % self.as_expr()

@@ -280,6 +280,7 @@ def group_orbits(dens, dx, dy=None):
             r = min(offsets)
             u, rep = dx.pow(first, r).canonical()
             less = {o: o - r for o in offsets}
-        out.append((rep, {d: (less[off], s / u)
+        one = u == first.mode.coeff_domain().one  # no division by 1
+        out.append((rep, {d: (less[off], s if one else s / u)
                           for d, (off, s) in members.items()}))
     return out

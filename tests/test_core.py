@@ -666,3 +666,16 @@ def test_integer_canonical_pairs(token, data):
     assert BiPoly(0, mode) ** 0 == 1
     assert prim * u == p
     assert sp.expand(p.expr) == sp.expand(RatFunc(p, mode).as_expr())
+
+
+@pytest.mark.parametrize("mode", [P, T], ids=["QQ", "QQ(q)"])
+def test_hash_agrees_with_equality_on_built_quotients(mode):
+    # sympy builds a quotient in place (div, exquo), so the hash it caches
+    # for it is the hash of zero; equal values must still hash alike
+    ring = mode.pair_ring()
+    Y = ring.gens[0]
+    quo = (2 * Y).exquo(ring(2))
+    a, b = BiPoly.from_rep(quo, mode), BiPoly(y, mode)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    f, g = RatFunc.from_ring(quo, ring.one, mode), RatFunc(y, mode)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
