@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .core import BiPoly, RatFunc
+from .core import BiPoly
 from .deciders import decide_exact, operator_pair
 from .errors import RatexactError
 from .factorization import factor as factor_poly
@@ -22,8 +22,8 @@ from .parsing import parse_ratfunc
 from .printing import canonical_str
 from .qmodes import plain, rational, root_of_unity, transcendental
 from .reductions import (abramov_reduce_y, hermite_reduce_y,
-                         phi_dy_reduced_form, tau_sigma_reduced_form,
-                         tau_reduced_root_of_unity)
+                         phi_dy_reduced_form, pull_back,
+                         tau_sigma_reduced_form, tau_reduced_root_of_unity)
 from .residues import residue_dy, residue_sigma
 
 
@@ -52,8 +52,7 @@ def _dump(obj):
 
 
 def _witness_json(w):
-    mode = w.den.mode
-    out = {"kind": w.kind, "den": canonical_str(RatFunc(w.den, mode))}
+    out = {"kind": w.kind, "den": canonical_str(w.den)}
     if w.kind == "non_summable_residue":
         out["j"] = w.j
         out["residue"] = canonical_str(w.residue)
@@ -103,7 +102,7 @@ def _cmd_decide(args):
 
 def _terms_json(terms, mode):
     return [{"num": canonical_str(t.num),
-             "den": canonical_str(RatFunc(t.den, mode)),
+             "den": canonical_str(t.den),
              "j": t.j} for t in terms]
 
 
@@ -120,8 +119,9 @@ def _cmd_reduce(args):
         payload = {"g": canonical_str(rf.g), "h": canonical_str(rf.h),
                    "terms": _terms_json(rf.terms, mode)}
     else:  # tau-rou
-        g, c = tau_reduced_root_of_unity(f, mode.order)
-        payload = {"g": canonical_str(g), "trace_part": canonical_str(c)}
+        g, c = tau_reduced_root_of_unity(f)
+        payload = {"g": canonical_str(g),
+                   "trace_part": canonical_str(pull_back(c, mode.order))}
     payload["flavor"] = args.flavor
     payload["qmode"] = mode.describe()
     if args.json:
@@ -145,10 +145,12 @@ def _polynomial(text, mode, message):
     f = parse_ratfunc(text, mode)
     if not f.is_polynomial():
         raise RatexactError(message)
-    return BiPoly.from_rep(f.numer, mode, f.denom)
+    return BiPoly.from_ring(f.numer, f.denom, mode)
 
 
 def _cmd_residue(args):
+    if args.mult < 1:
+        raise RatexactError("--mult must be at least 1")
     mode = _mode_from_args(args)
     f = parse_ratfunc(args.expr, mode)
     dp = _polynomial(args.at, mode, "--at must be a polynomial")
@@ -169,8 +171,8 @@ def _cmd_factor(args):
     mode = _mode_from_args(args)
     fac = factor_poly(_polynomial(args.expr, mode,
                                   "factor expects a polynomial"))
-    payload = {"unit": canonical_str(RatFunc(1, mode).mul_ground(fac.unit)),
-               "factors": [[canonical_str(RatFunc(p, mode)), e]
+    payload = {"unit": canonical_str(BiPoly.ground(fac.unit, mode)),
+               "factors": [[canonical_str(p), e]
                            for p, e in fac.factors],
                "qmode": mode.describe()}
     if args.json:

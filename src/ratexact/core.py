@@ -5,27 +5,28 @@ Values are immutable and stored as sparse sympy ring elements
 (``sympy.polys.rings.PolyElement``) of one ring per q-mode,
 ``QMode.pair_ring``: Z[y, x] for k = Q, Z[y, x, q] for k = Q(q), and
 Q(zeta_m)[y, x] for m > 2, so that over Q and Q(q) every product and gcd
-runs on integers (sympy's ``_gcd_ZZ``).  A RatFunc holds a canonical pair
-of it; a BiPoly holds a canonical pair (P, w) with value P/w, w free of y
-and x.  All arithmetic, cancellation, shifts and derivatives work on the
-ring elements, as do the reductions in y (``prem_y``, ``inverse_mod``: y
-first, fractions over y-free denominators, never k(x)[y]), and every
-scalar (an orbit scale, a unit, a power of q) is an element of
-``QMode.coeff_domain()``, moved to and from the pair ring as a pair by
-``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only as the
-input of the constructors ``BiPoly(expr, mode)`` and ``RatFunc(expr, mode)``;
-the ``Expr`` of a value (``.expr``, ``as_expr()``) is built when asked for.
-Over Q(zeta_m) every gcd is modular (``_zeta_gcd``), with sympy's
-subresultant PRS as its fallback.
+runs on integers (sympy's ``_gcd_ZZ``).  A RatFunc holds the canonical
+pair (numer, denom) of its value, and a BiPoly is a RatFunc whose denom is
+free of y and x.  All arithmetic, cancellation, shifts and derivatives
+work on the ring elements, as do the reductions in y (``prem_y``,
+``inverse_mod``: y first, fractions over y-free denominators, never
+k(x)[y]), and every scalar (an orbit scale, a unit, a power of q) is an
+element of ``QMode.coeff_domain()``, moved to and from the pair ring as a
+pair by ``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only
+as the input of the constructors ``BiPoly(expr, mode)`` and
+``RatFunc(expr, mode)``; the ``Expr`` of a value (``.expr``,
+``as_expr()``) is built when asked for.  Over Q(zeta_m) every gcd is
+modular (``_zeta_gcd``), with sympy's subresultant PRS as its fallback.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair is
 coprime in the integer ring, with coprime contents and a positive leading
-denominator coefficient, so a BiPoly's w is a positive integer over Q and
-an integer polynomial in q over Q(q); over Q(zeta_m) the denominator is
-monic, and w = 1.  ``BiPoly.canonical()`` splits off a unit so that the
-primitive part is integer-primitive with positive leading coefficient over
-Q and monic in y and x over Q(q) and Q(zeta_m).  ``.expr`` renders a BiPoly
-term by term, each coefficient in y and x an element of k.
+denominator coefficient, so a BiPoly's denom is a positive integer over Q
+and an integer polynomial in q over Q(q); over Q(zeta_m) the denominator
+is monic, and a BiPoly's is 1.  ``BiPoly.canonical()`` splits off a unit
+so that the primitive part is integer-primitive with positive leading
+coefficient over Q and monic in y and x over Q(q) and Q(zeta_m).
+``.expr`` renders a BiPoly term by term, each coefficient in y and x an
+element of k.
 """
 
 from functools import lru_cache
@@ -41,7 +42,7 @@ from sympy.polys.galoistools import (gf_add, gf_eval, gf_gcd, gf_mul,
                                      gf_mul_ground, gf_quo)
 
 from .errors import QModeMismatch, ZeroDenominator
-from .qmodes import TRANSCENDENTAL, x, y
+from .qmodes import TRANSCENDENTAL, q, x, y
 
 # -- ring-element helpers ---------------------------------------------
 
@@ -471,23 +472,16 @@ def cofactors(a, b, mode):
     return a.cofactors(b)[1:]
 
 
-def _cancelled(n, d, mode):
-    """(n/h, d/h) for h a gcd of the pair-ring elements n and d, d != 0."""
-    if not n:
-        return n, d.ring.one
-    return cofactors(n, d, mode)
-
-
 def ring_lcm(a, b, mode):
     """A least common multiple of the pair-ring elements a, b != 0."""
-    return a * _cancelled(b, a, mode)[0]
+    return a * cofactors(b, a, mode)[0]
 
 
 def _reduce(n, d, mode):
     """Canonical form of the fraction n/d of pair-ring elements."""
     if not d:
         raise ZeroDenominator("denominator is zero")
-    return _normal(*_cancelled(n, d, mode))
+    return _normal(*cofactors(n, d, mode))
 
 
 def yx_coeffs(P, w, mode):
@@ -596,167 +590,23 @@ def _pair_hash(a, b):
     return hash((frozenset(a.items()), frozenset(b.items())))
 
 
-# -- polynomials ------------------------------------------------------
+# -- rational functions and polynomials ---------------------------------
 
 
-class BiPoly:
-    """A polynomial in k[x, y] (either variable may be absent).
-
-    The value is rep/w for the canonical pair (``rep``, ``w``) of
-    ``mode.pair_ring()`` elements, w free of y and x: rep and w coprime,
-    w a positive integer over Q, an integer polynomial in q with positive
-    leading coefficient over Q(q), and 1 over Q(zeta_m).  Every operation
-    works on it, and ``.expr`` is built from it only when asked for."""
-
-    __slots__ = ("rep", "w", "mode", "_expr")
-
-    def __init__(self, expr, mode):
-        f = RatFunc(expr, mode)  # a denominator such as 2 or q is allowed
-        if not f.is_polynomial():
-            raise ValueError("%s is not a polynomial" % (expr,))
-        self._init(f.numer, f.denom, mode)
-
-    def _init(self, rep, w, mode):
-        """Wrap a pair that is already canonical."""
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_expr", None)
-
-    @classmethod
-    def from_rep(cls, rep, mode, w=None):
-        """The polynomial rep/w (w free of y and x, default 1)."""
-        self = object.__new__(cls)
-        self._init(*_reduce(rep, w or rep.ring.one, mode), mode)
-        return self
-
-    @classmethod
-    def ground(cls, c, mode):
-        """The constant polynomial c (in mode.coeff_domain(), or an int)."""
-        n, d = from_scalar(mode.coeff_domain().convert(c), mode)
-        return cls.from_rep(n, mode, d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
-
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def expr(self):
-        if self._expr is None:
-            if self.mode.kind == TRANSCENDENTAL:
-                coeffs = yx_coeffs(self.rep, self.w, self.mode)
-                e = expr_from_dict({m: c.as_expr() for m, c in coeffs.items()},
-                                   y, x)
-            elif self.w.is_one:
-                e = self.rep.as_expr()
-            else:  # over Q, w an integer
-                w = self.w.LC
-                e = expr_from_dict({m: sp.Rational(c, w)
-                                    for m, c in self.rep.items()}, y, x)
-            object.__setattr__(self, "_expr", e)
-        return self._expr
-
-    @property
-    def is_zero(self):
-        return not self.rep
-
-    def degree(self, var):
-        if self.is_zero:
-            return -sp.oo
-        return self.rep.degree(self.rep.ring.symbols.index(var))
-
-    def free_of(self, var):
-        return free_of_gen(self.rep, self.rep.ring.symbols.index(var))
-
-    def coeff_x(self, i):
-        """The coefficient of x^i, a polynomial in y."""
-        return self._new(self.rep.coeff_wrt(1, i))
-
-    def swap_xy(self):
-        return self._new(exponent_map(self.rep,
-                                      lambda m: (m[1], m[0]) + m[2:]))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _lift(self, other):
-        if not isinstance(other, BiPoly):
-            other = (BiPoly.ground(other, self.mode)
-                     if self.mode.coeff_domain().of_type(other)  # a scale
-                     else BiPoly(other, self.mode))
-        return other.rep, other.w
-
-    def _new(self, rep, w=None):
-        return BiPoly.from_rep(rep, self.mode, w or self.w)
-
-    def __add__(self, other):
-        P, w = self._lift(other)
-        return self._new(self.rep * w + P * self.w, self.w * w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        P, w = self._lift(other)
-        return self._new(self.rep * w - P * self.w, self.w * w)
-
-    def __neg__(self):
-        return self._new(-self.rep)
-
-    def __mul__(self, other):
-        P, w = self._lift(other)
-        return self._new(self.rep * P, self.w * w)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        n = int(n)  # 0^0 == 1, as in the parser
-        return (self._new(self.rep ** n, self.w ** n) if n
-                else BiPoly.ground(1, self.mode))
-
-    def __eq__(self, other):
-        return (self.rep, self.w) == self._lift(other)
-
-    def __hash__(self):
-        return _pair_hash(self.rep, self.w)
-
-    def __repr__(self):
-        return "BiPoly(%s)" % self.expr
-
-    # -- canonical normalization --------------------------------------
-
-    def canonical(self):
-        """(unit, primitive) with self = unit * primitive; the unit is an
-        element of mode.coeff_domain(), one when self is primitive."""
-        lead, prim = self.primitive()
-        if prim is self:
-            return self.mode.coeff_domain().one, self
-        return to_scalar(lead, self.w, self.mode), prim
-
-    def primitive(self):
-        """(lead, primitive) with self = lead/w * primitive, lead a
-        pair-ring element free of y and x; primitive is self when lead ==
-        w.  The primitive part is integer-primitive with positive leading
-        coefficient over Q and monic in y and x over Q(q) and Q(zeta_m)."""
-        P = self.rep
-        if self.is_zero:
-            return self.w, self
-        if self.mode.coeff_domain() == QQ:
-            lead = P.ring(P.content() if P.LC > 0 else -P.content())
-        else:
-            lead = lead_yx(P)
-        return lead, (self if lead == self.w else self._new(P, lead))
-
-    # -- operator actions ---------------------------------------------
-
-    def shift(self, var, n):
-        return self._new(shift_gen(self.rep,
-                                   self.rep.ring.symbols.index(var), int(n)))
-
-    def qshift_x(self, n):
-        return self._new(*qshift_gen(int(n), self.mode, self.rep, self.w))
-
-
-# -- rational functions -----------------------------------------------
+def _from_expr(e, mode):
+    """The canonical pair of the sympy expression e in x, y and q, with q
+    read as mode's q, as the parser reads it."""
+    ring = mode.pair_ring()
+    field = ring.clone(domain=ring.domain.get_field())
+    n, d = sp.fraction(sp.together(sp.sympify(e, strict=True)))
+    if q in ring.symbols or not (n.has(q) or d.has(q)):
+        n, d = field.from_expr(n), field.from_expr(d)
+    else:  # q is a number: read over Q[y, x, q], then evaluated
+        qv = mode.q_element()  # QModeMismatch without a q
+        qfield = field.clone(symbols=field.symbols + (q,))
+        n, d = (qfield.from_expr(p).evaluate(qfield.gens[2], qv)
+                .set_ring(field) for p in (n, d))
+    return _reduce(*_cleared(n, d, ring), mode)
 
 
 class RatFunc:
@@ -764,25 +614,26 @@ class RatFunc:
 
     The value is the canonical reduced pair (``numer``, ``denom``) of
     ``mode.pair_ring()`` elements.  Arithmetic cancels with the ring gcd
-    and rescales to the canonical form; shifts and q-shifts map canonical
-    pairs to canonical pairs without a gcd.  ``num``/``den`` give the pair
-    as BiPolys and ``as_expr()`` as a sympy expression."""
+    and rescales to the canonical form; shifts, q-shifts and swap_xy map
+    canonical pairs to canonical pairs without a gcd.  The operations of
+    BiPolys give a BiPoly, except ``/`` and negative powers.
+    ``num``/``den`` give the pair as BiPolys and ``as_expr()`` as a sympy
+    expression."""
 
     __slots__ = ("numer", "denom", "mode")
 
     def __init__(self, expr, mode):
-        ring = mode.pair_ring()
+        """expr is a RatFunc of mode, an int, or a sympy expression in x,
+        y and q, with q read as mode's q."""
         if isinstance(expr, RatFunc):
+            if expr.mode != mode:
+                raise QModeMismatch("a value of q-mode %s in q-mode %s"
+                                    % (expr.mode.describe(), mode.describe()))
             n, d = expr.numer, expr.denom
-        elif isinstance(expr, int):
-            n, d = _normal(ring(expr), ring.one)
-        elif isinstance(expr, BiPoly):  # its pair is canonical
-            n, d = expr.rep, expr.w
+        elif isinstance(expr, int):  # a canonical pair over 1
+            n, d = mode.pair_ring()(expr), mode.pair_ring().one
         else:
-            n, d = sp.fraction(sp.together(sp.sympify(expr)))
-            qring = ring.clone(domain=ring.domain.get_field())
-            n, d = _reduce(*_cleared(qring.from_expr(n), qring.from_expr(d),
-                                     ring), mode)
+            n, d = _from_expr(expr, mode)
         self._init(n, d, mode)
 
     def _init(self, n, d, mode):
@@ -803,7 +654,7 @@ class RatFunc:
         return cls._new(*_reduce(n, d, mode), mode)
 
     def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @classmethod
     def from_y(cls, Y, mode):
@@ -819,11 +670,11 @@ class RatFunc:
 
     @property
     def num(self):
-        return BiPoly.from_rep(self.numer, self.mode)
+        return BiPoly._new(self.numer, self.numer.ring.one, self.mode)
 
     @property
     def den(self):
-        return BiPoly.from_rep(self.denom, self.mode)
+        return BiPoly._new(self.denom, self.denom.ring.one, self.mode)
 
     def as_expr(self):
         return self.numer.as_expr() / self.denom.as_expr()
@@ -845,12 +696,18 @@ class RatFunc:
     # -- arithmetic ----------------------------------------------------
 
     def _lift(self, other):
-        if isinstance(other, RatFunc):
+        """other as a value of self's q-mode: a RatFunc as it is, a scalar
+        of mode.coeff_domain() as a constant, anything else read by self's
+        class, so that a BiPoly reads only polynomials."""
+        if isinstance(other, RatFunc) and other.mode == self.mode:
             return other
-        return RatFunc(other, self.mode)
+        if self.mode.coeff_domain().of_type(other):
+            return BiPoly.ground(other, self.mode)
+        return type(self)(other, self.mode)
 
-    def _reduced(self, n, d):
-        return RatFunc.from_ring(n, d, self.mode)
+    def _class(self, other):
+        """BiPoly when self and other are both BiPolys, else RatFunc."""
+        return type(self) if isinstance(other, type(self)) else RatFunc
 
     def __add__(self, other):
         other = self._lift(other)
@@ -858,9 +715,9 @@ class RatFunc:
             return self
         if self.is_zero:
             return other
-        return self._reduced(self.numer * other.denom
-                             + other.numer * self.denom,
-                             self.denom * other.denom)
+        return self._class(other).from_ring(
+            self.numer * other.denom + other.numer * self.denom,
+            self.denom * other.denom, self.mode)
 
     __radd__ = __add__
 
@@ -871,33 +728,33 @@ class RatFunc:
         return self._lift(other) - self
 
     def __neg__(self):
-        return RatFunc._new(-self.numer, self.denom, self.mode)
+        return type(self)._new(-self.numer, self.denom, self.mode)
 
-    def _times(self, n2, d2):
-        """self * n2/d2 for a coprime pair n2, d2.  Both pairs are
-        coprime, so the gcds run crosswise, of self's numerator with d2
-        and of n2 with self's denominator, and none on the products; a
+    def _times(self, n2, d2, cls):
+        """self * n2/d2 as a cls, for a coprime pair n2, d2.  Both pairs
+        are coprime, so the gcds run crosswise, of self's numerator with
+        d2 and of n2 with self's denominator, and none on the products; a
         ground factor needs none at all."""
         mode = self.mode
-        n1, d2 = _cancelled(self.numer, d2, mode)
-        n2, d1 = _cancelled(n2, self.denom, mode)
-        return RatFunc._new(*_normal(n1 * n2, d1 * d2), mode)
+        n1, d2 = cofactors(self.numer, d2, mode)
+        n2, d1 = cofactors(n2, self.denom, mode)
+        return cls._new(*_normal(n1 * n2, d1 * d2), mode)
 
     def __mul__(self, other):
         other = self._lift(other)
-        return self._times(other.numer, other.denom)
+        return self._times(other.numer, other.denom, self._class(other))
 
     __rmul__ = __mul__
 
     def mul_ground(self, c):
         """self * c for c in mode.coeff_domain()."""
-        return self._times(*from_scalar(c, self.mode))
+        return self._times(*from_scalar(c, self.mode), type(self))
 
     def __truediv__(self, other):
         other = self._lift(other)
         if other.is_zero:
             raise ZeroDenominator("division by zero")
-        return self._times(other.denom, other.numer)
+        return self._times(other.denom, other.numer, RatFunc)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -905,47 +762,50 @@ class RatFunc:
     def __pow__(self, n):
         # powers of a reduced pair stay reduced; only the scaling changes
         n = int(n)
+        if n < 0:
+            return RatFunc(1, self.mode) / self ** -n
         if n == 0:  # 0^0 == 1, as in the parser
-            return RatFunc(1, self.mode)
-        if n < 0 and self.is_zero:
-            raise ZeroDenominator("division by zero")
-        a, b = (self.numer, self.denom) if n > 0 else (self.denom, self.numer)
-        return RatFunc._new(*_normal(a ** abs(n), b ** abs(n)), self.mode)
+            return type(self)(1, self.mode)
+        return type(self)._new(*_normal(self.numer ** n, self.denom ** n),
+                               self.mode)
 
     def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(other, self.mode)
+        try:
+            other = self._lift(other)
+        except ValueError:  # not a value of self's class
+            return NotImplemented
         return self.numer == other.numer and self.denom == other.denom
 
     def __hash__(self):
         return _pair_hash(self.numer, self.denom)
 
     def __repr__(self):
-        return "RatFunc(%s)" % self.as_expr()
+        return "%s(%s)" % (type(self).__name__, self.as_expr())
 
     def swap_xy(self):
         """self with x and y exchanged: a ring automorphism, so the pair
         stays coprime and only its scaling changes."""
         def swap(m):
             return (m[1], m[0]) + m[2:]
-        return RatFunc._new(*_normal(exponent_map(self.numer, swap),
-                                     exponent_map(self.denom, swap)),
-                            self.mode)
+        return type(self)._new(*_normal(exponent_map(self.numer, swap),
+                                        exponent_map(self.denom, swap)),
+                               self.mode)
 
     # -- operator actions ---------------------------------------------
 
-    def _shifted(self, var, n):
-        # a shift is a ring automorphism fixing the leading coefficient
-        # and the content, so the canonical pair maps to a canonical pair
-        i = self.denom.ring.symbols.index(var)
-        return RatFunc._new(shift_gen(self.numer, i, n),
-                            shift_gen(self.denom, i, n), self.mode)
+    def shift(self, var, n):
+        """self with var -> var + n: a ring automorphism fixing the
+        leading coefficient and the content, so the canonical pair maps
+        to a canonical pair."""
+        i, n = self.denom.ring.symbols.index(var), int(n)
+        return type(self)._new(shift_gen(self.numer, i, n),
+                               shift_gen(self.denom, i, n), self.mode)
 
     def shift_x(self, n=1):
-        return self._shifted(x, int(n))
+        return self.shift(x, n)
 
     def shift_y(self, n=1):
-        return self._shifted(y, int(n))
+        return self.shift(y, n)
 
     def qshift_x(self, n=1):
         mode = self.mode
@@ -954,13 +814,95 @@ class RatFunc:
         # x -> q^n x is an automorphism, so the pair stays coprime and
         # only its scaling changes (over Q(q) only a power of q can become
         # common to both parts, and qshift_gen divides it out)
-        return RatFunc._new(*_normal(*qshift_gen(int(n), mode, self.numer,
-                                                 self.denom)), mode)
+        return type(self)._new(*_normal(*qshift_gen(int(n), mode, self.numer,
+                                                    self.denom)), mode)
 
     def deriv_y(self):
         n, d = self.numer, self.denom
-        return self._reduced(n.diff(n.ring.gens[0]) * d
-                             - n * d.diff(d.ring.gens[0]), d ** 2)
+        return type(self).from_ring(n.diff(n.ring.gens[0]) * d
+                                    - n * d.diff(d.ring.gens[0]), d ** 2,
+                                    self.mode)
+
+
+class BiPoly(RatFunc):
+    """A polynomial in k[x, y] (either variable may be absent): a RatFunc
+    whose denom is free of y and x, a positive integer over Q, an integer
+    polynomial in q with positive leading coefficient over Q(q), and 1
+    over Q(zeta_m).  ``.expr`` is built from the pair only when asked
+    for."""
+
+    __slots__ = ("_expr",)
+
+    def __init__(self, expr, mode):
+        super().__init__(expr, mode)  # a denominator such as 2 or q is allowed
+        if not self.is_polynomial():
+            raise ValueError("%s is not a polynomial" % (expr,))
+
+    # bench/spans.py traces these names in BiPoly.__dict__ (and a class
+    # body that binds __eq__ must bind __hash__ as well)
+    __add__ = __radd__ = RatFunc.__add__
+    __mul__ = __rmul__ = RatFunc.__mul__
+    __sub__, __neg__, __pow__, __eq__, __hash__, shift, qshift_x = (
+        RatFunc.__sub__, RatFunc.__neg__, RatFunc.__pow__, RatFunc.__eq__,
+        RatFunc.__hash__, RatFunc.shift, RatFunc.qshift_x)
+
+    @classmethod
+    def ground(cls, c, mode):
+        """The constant polynomial c (in mode.coeff_domain(), or an int)."""
+        n, d = from_scalar(mode.coeff_domain().convert(c), mode)
+        return cls.from_ring(n, d, mode)
+
+    @property
+    def expr(self):
+        e = getattr(self, "_expr", None)
+        if e is None:
+            P, w = self.numer, self.denom
+            if self.mode.kind == TRANSCENDENTAL:
+                coeffs = yx_coeffs(P, w, self.mode)
+                e = expr_from_dict({m: c.as_expr() for m, c in coeffs.items()},
+                                   y, x)
+            elif w.is_one:
+                e = P.as_expr()
+            else:  # over Q, w an integer
+                e = expr_from_dict({m: sp.Rational(c, w.LC)
+                                    for m, c in P.items()}, y, x)
+            object.__setattr__(self, "_expr", e)
+        return e
+
+    def degree(self, var):
+        if self.is_zero:
+            return -sp.oo
+        return self.numer.degree(self.numer.ring.symbols.index(var))
+
+    def coeff_x(self, i):
+        """The coefficient of x^i, a polynomial in y."""
+        return BiPoly.from_ring(self.numer.coeff_wrt(1, i), self.denom,
+                                self.mode)
+
+    # -- canonical normalization --------------------------------------
+
+    def canonical(self):
+        """(unit, primitive) with self = unit * primitive; the unit is an
+        element of mode.coeff_domain(), one when self is primitive."""
+        lead, prim = self.primitive()
+        if prim is self:
+            return self.mode.coeff_domain().one, self
+        return to_scalar(lead, self.denom, self.mode), prim
+
+    def primitive(self):
+        """(lead, primitive) with self = lead/denom * primitive, lead a
+        pair-ring element free of y and x; primitive is self when lead ==
+        denom.  The primitive part is integer-primitive with positive leading
+        coefficient over Q and monic in y and x over Q(q) and Q(zeta_m)."""
+        P = self.numer
+        if self.is_zero:
+            return self.denom, self
+        if self.mode.coeff_domain() == QQ:
+            lead = P.ring(P.content() if P.LC > 0 else -P.content())
+        else:
+            lead = lead_yx(P)
+        return lead, (self if lead == self.denom
+                      else BiPoly.from_ring(P, lead, self.mode))
 
 
 def tree_sum(terms, mode):

@@ -18,9 +18,8 @@ from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
                      ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair, group_orbits)
 from .qmodes import ROOT_OF_UNITY, x
-from .reductions import (from_w, phi_dy_reduced_form, pull_back, reduce_y,
-                         tau_sigma_reduced_form, tau_reduced_root_of_unity,
-                         to_w)
+from .reductions import (phi_dy_reduced_form, pull_back, reduce_y,
+                         tau_sigma_reduced_form, tau_reduced_root_of_unity)
 
 
 def operator_pair(token, mode):
@@ -105,29 +104,17 @@ def _decide_reduced_form(f, pair):
     return Decision(True, certificate=(rf.g, rf.h), pair=pair)
 
 
-def _invariant_to_w(c: RatFunc, m: int) -> RatFunc:
-    """Rewrite a tau-invariant rational function as a function of w = x^m,
-    returned with x standing for w.
-
-    The canonical pair of a tau-invariant function already lies in
-    k[y, x^m], and x^m -> w keeps the pair coprime and its lex scaling."""
-    num, den = c.numer, c.denom
-    if any(b % m for _, b in (*num.itermonoms(), *den.itermonoms())):
-        raise RatexactError("trace is not a function of x^%d" % m)
-    return RatFunc._new(to_w(num, m), to_w(den, m), c.mode)
-
-
 def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
-    mode = f.mode
-    m = mode.order
-    g0, c = tau_reduced_root_of_unity(f, m)
-    hw, terms = reduce_y(_invariant_to_w(c, m), pair.dy)
+    """f = tau(g0) - g0 + c(x^m), and c, a function of w = x^m, is
+    reduced in y; the terms it leaves are pulled back to x."""
+    m = f.mode.order
+    g0, c = tau_reduced_root_of_unity(f)
+    hw, terms = reduce_y(c, pair.dy)
     if terms:
         t = terms[0]
         return Decision(False,
-                        witness=NonSummableResidue(
-                            BiPoly.from_rep(from_w(t.den.rep, m), mode), t.j,
-                            pull_back(t.num, m)),
+                        witness=NonSummableResidue(pull_back(t.den, m), t.j,
+                                                   pull_back(t.num, m)),
                         pair=pair)
     h = pull_back(hw, m)
     if not verify_certificate(f, g0, h, pair):  # pragma: no cover
@@ -254,7 +241,7 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
         return [(j, i) + pad
                 for i in range(bound + 1) for j in range(bound + 1 - i)]
 
-    ops, dens = (dx, dy), (den_g.rep, den_h.rep)
+    ops, dens = (dx, dy), (den_g.numer, den_h.numer)
     monoms = [_monoms(den) for den in dens]
     overs = [_delta_over(op, den, mode, max(e[1] for e in es))
              for op, den, es in zip(ops, dens, monoms)]
@@ -282,10 +269,11 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     certificate = []
     for den, es in zip(dens, monoms):
         coeffs, sol = sol[:len(es)], sol[len(es):]
-        num = sum((BiPoly.from_rep(ring({e: 1}), mode) * c
+        num = sum((BiPoly.from_ring(ring({e: 1}), ring.one, mode) * c
                    for e, c in zip(es, coeffs) if c),
                   BiPoly.ground(0, mode))
-        certificate.append(RatFunc.from_ring(num.rep, num.w * den, mode))
+        certificate.append(RatFunc.from_ring(num.numer, num.denom * den,
+                                             mode))
     g, h = certificate
     if not verify_certificate(f, g, h, pair):  # pragma: no cover
         raise RatexactError("oracle certificate failed verification")

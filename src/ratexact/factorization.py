@@ -63,7 +63,7 @@ def factor(p: BiPoly) -> Factorization:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    mode, P = p.mode, p.rep
+    mode, P = p.mode, p.numer
     pieces, found = [(P, 1)], []  # found: irreducible pair-ring elements
     while pieces:
         F, e = pieces.pop()
@@ -94,15 +94,15 @@ def factor(p: BiPoly) -> Factorization:
                 raise RatexactError(str(exc)) from exc
     factors = []  # [canonical factor, multiplicity], merged by equality
     for G, e in found:
-        prim = BiPoly.from_rep(G, mode).primitive()[1]
+        prim = BiPoly.from_ring(G, G.ring.one, mode).primitive()[1]
         same = next((fm for fm in factors if fm[0] == prim), None)
         if same:
             same[1] += e
         else:
             factors.append([prim, e])
-    num, den = lead_yx(P), p.w
+    num, den = lead_yx(P), p.denom
     for f, e in factors:
-        num, den = num * f.w ** e, den * lead_yx(f.rep) ** e
+        num, den = num * f.denom ** e, den * lead_yx(f.numer) ** e
     return Factorization(to_scalar(num, den, mode),
                          _sort_factors(map(tuple, factors)))
 

@@ -29,8 +29,8 @@ def _ground_ratio(a, b):
 
 def _associate(p, p2):
     """s in k with p == s * p2, or None."""
-    lead = _ground_ratio(p.rep, p2.rep)
-    return lead and to_scalar(lead[0] * p2.w, lead[1] * p.w, p.mode)
+    lead = _ground_ratio(p.numer, p2.numer)
+    return lead and to_scalar(lead[0] * p2.denom, lead[1] * p.denom, p.mode)
 
 
 def _integer_ratio(a, b):
@@ -74,7 +74,7 @@ def shift_equivalent(p: BiPoly, p2: BiPoly, var):
 
     Works for var = y (sigma_y-equivalence) and var = x alike.
     """
-    n = _shift_power(p.rep, p2.rep, p.rep.ring.symbols.index(var))
+    n = _shift_power(p.numer, p2.numer, p.numer.ring.symbols.index(var))
     s = None if n is None else _associate(p.shift(var, n) if n else p, p2)
     return None if s is None else (n, s)
 
@@ -121,7 +121,7 @@ def _solve_q_power(n, d, delta, mode):
 
 
 def _x_support(p):
-    return sorted({m[1] for m in p.rep.itermonoms()})
+    return sorted({m[1] for m in p.numer.itermonoms()})
 
 
 def q_equivalent(p: BiPoly, p2: BiPoly):
@@ -138,8 +138,10 @@ def q_equivalent(p: BiPoly, p2: BiPoly):
         return None
     m = 0
     if len(sup) > 1:
-        # x-coefficient i of p2 is n_i*p.w/(d_i*p2.w) times that of p
-        leads = [_ground_ratio(p2.rep.coeff_wrt(1, i), p.rep.coeff_wrt(1, i))
+        # x-coefficient i of p2 is n_i*p.denom/(d_i*p2.denom) times that
+        # of p
+        leads = [_ground_ratio(p2.numer.coeff_wrt(1, i),
+                               p.numer.coeff_wrt(1, i))
                  for i in sup[:2]]
         if None in leads:
             return None
@@ -166,7 +168,7 @@ def joint_equivalent(p: BiPoly, p2: BiPoly):
         return None
     n = 0
     for i in reversed(sup):
-        ai, ai2 = p.rep.coeff_wrt(1, i), p2.rep.coeff_wrt(1, i)
+        ai, ai2 = p.numer.coeff_wrt(1, i), p2.numer.coeff_wrt(1, i)
         if ai.degree(0) != ai2.degree(0):
             return None
         if ai.degree(0) >= 1:
@@ -192,17 +194,14 @@ class Operator:
     var: sp.Symbol
 
     def pow(self, value, n):
-        """The n-th power of this shift or q-shift applied to a RatFunc or
-        a BiPoly."""
+        """The n-th power of this shift or q-shift applied to a RatFunc."""
         if self.kind == DERIV:
             raise ValueError("d/dy has no powers")
         if n == 0:
             return value
         if self.kind == QSHIFT:
             return value.qshift_x(n)
-        if isinstance(value, BiPoly):
-            return value.shift(self.var, n)
-        return value.shift_x(n) if self.var == x else value.shift_y(n)
+        return value.shift(self.var, n)
 
     def delta(self, f):
         """d/dy(f), or phi(f) - f for this shift or q-shift phi."""

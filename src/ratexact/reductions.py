@@ -23,7 +23,7 @@ from .core import (BiPoly, RatFunc, cofactors, exponent_map, inverse_mod,
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y,
                      SHIFT_X, SHIFT_X_DERIV_Y, SHIFT_Y, Pair, group_orbits)
-from .qmodes import RATIONAL, ROOT_OF_UNITY, TRANSCENDENTAL, x
+from .qmodes import ROOT_OF_UNITY, x
 from .residues import PfdTerm, partial_fractions
 
 
@@ -65,7 +65,7 @@ def hermite_reduce_y(f: RatFunc):
     dec = partial_fractions(f)
     N, ring = dec.poly_part.numer, f.numer.ring
     Y = ring.gens[0]
-    poles = [(d, (d.rep, d.w), {t.j: t.num for t in group})
+    poles = [(d, (d.numer, d.denom), {t.j: t.num for t in group})
              for d, group in groupby(dec.terms, key=lambda t: t.den)]
     Q = prod((P ** (max(digits) - 1) for _, (P, _), digits in poles),
              start=ring.one)
@@ -127,6 +127,17 @@ def discrete_antiderivative(p: RatFunc) -> RatFunc:
     return RatFunc.from_ring(out, p.denom * s, p.mode)
 
 
+def _check_qshift(op, mode, what):
+    """QModeMismatch when op is the q-shift and mode has no q, or q is a
+    root of unity."""
+    if op.kind != QSHIFT:
+        return
+    if not mode.has_q:
+        raise QModeMismatch("%s requires a q" % what)
+    if mode.kind == ROOT_OF_UNITY:
+        raise QModeMismatch("%s requires q not a root of unity" % what)
+
+
 def abramov_reduce(f: RatFunc, op):
     """(g, terms): f = op(g) - g + sum a/(d^j) with the d's in distinct
     op-orbits, for op = SHIFT_Y, SHIFT_X or QSHIFT_X; terms vanish iff f
@@ -140,8 +151,7 @@ def abramov_reduce(f: RatFunc, op):
     likewise, and the x^0 term is left as a term over 1.  Every other
     pole is collapsed onto its orbit's representative by ``_collapse``."""
     mode = f.mode
-    if op.kind == QSHIFT and mode.kind not in (TRANSCENDENTAL, RATIONAL):
-        raise QModeMismatch("q-summability requires q not a root of unity")
+    _check_qshift(op, mode, "q-summability")
 
     def back(v):  # v with op's variable put back in place
         return v.swap_xy() if op.var == x else v
@@ -204,7 +214,7 @@ def orbit_collapse(a: RatFunc, d, j: int, m: int, n: int, phi1, phi2):
         raise RatexactError("orbit distance %d exceeds the ceiling %d"
                             % (m + n, MAX_ORBIT_DISTANCE))
     mode = a.mode
-    dj = RatFunc(d ** j, mode)
+    dj = d ** j
     djn = phi2.pow(dj, n)
     u = tree_sum([phi1.pow(a, t - m) / phi1.pow(djn, t) for t in range(m)],
                  mode)
@@ -251,7 +261,7 @@ def _absorb_summable(terms, dx):
         if b is None:
             rest.append(t)
         else:
-            extra.append(b / RatFunc(t.den ** t.j, t.num.mode))
+            extra.append(b / t.den ** t.j)
     return extra, tuple(rest)
 
 
@@ -268,9 +278,7 @@ def _reduced_form(f: RatFunc, pair) -> ReducedForm:
     summable in x move into g."""
     mode = f.mode
     dx, dy = pair.dx, pair.dy
-    if dx.kind == QSHIFT and mode.kind not in (TRANSCENDENTAL, RATIONAL):
-        raise QModeMismatch(
-            "q-shift reduced form requires q not a root of unity")
+    _check_qshift(dx, mode, "q-shift reduced form")
     h, terms = reduce_y(f, dy)
     us, vs, residues = _collapse(terms, dx, dy, mode)
     extra, rest = _absorb_summable(residues, dx)
@@ -289,10 +297,10 @@ def tau_sigma_reduced_form(f: RatFunc) -> ReducedForm:
     return _reduced_form(f, QSHIFT_X_SHIFT_Y)
 
 
-def _tau_split(f: RatFunc, m: int):
-    """(L, P0, P1): a tau-invariant common denominator L of the m
-    conjugates tau^i(f) and the numerator P0 + P1 = N * (L / D) of
-    f = N/D over L, where P0 holds the monomials whose x-degree is
+def _tau_split(f: RatFunc):
+    """(L, P0, P1) for q = zeta_m: a tau-invariant common denominator L
+    of the m conjugates tau^i(f) and the numerator P0 + P1 = N * (L / D)
+    of f = N/D over L, where P0 holds the monomials whose x-degree is
     divisible by m and P1 the rest.
 
     tau^i(P0 + P1) / L is then the i-th conjugate, so the conjugates are
@@ -300,10 +308,7 @@ def _tau_split(f: RatFunc, m: int):
     mode = f.mode
     if mode.kind != ROOT_OF_UNITY:
         raise QModeMismatch("trace requires q a root of unity")
-    if mode.order != m:
-        raise QModeMismatch("trace of order %s in q-mode %s"
-                            % (m, mode.describe()))
-    ring = f.denom.ring
+    m, ring = mode.order, f.denom.ring
     D = f.denom
     # L = D*M, the lcm of the conjugates tau^i(D): one gcd against each
     # in turn
@@ -337,24 +342,25 @@ def from_w(p, m):
 def pull_back(r: RatFunc, m: int) -> RatFunc:
     """r with w = x^m put back for x.  x^m -> w keeps a pair coprime and
     its lex scaling both ways, so a canonical pair stays canonical."""
-    return RatFunc._new(from_w(r.numer, m), from_w(r.denom, m), r.mode)
+    return type(r)._new(from_w(r.numer, m), from_w(r.denom, m), r.mode)
 
 
 def _invariant(P, L, m, mode):
-    """The canonical P/L for P and L in k[y, x^m], with the gcd run in
-    k[y, w] on 1/m of the x-degree."""
-    return pull_back(RatFunc.from_ring(to_w(P, m), to_w(L, m), mode), m)
+    """The canonical P/L in w = x^m, with x standing for w, for P and L in
+    k[y, x^m]: the gcd runs on 1/m of the x-degree."""
+    return RatFunc.from_ring(to_w(P, m), to_w(L, m), mode)
 
 
-def trace_xm(f: RatFunc, m: int) -> RatFunc:
+def trace_xm(f: RatFunc) -> RatFunc:
     """Sum of the m q-shift conjugates of f when q is a primitive m-th
     root of unity; the result is tau-invariant.
 
     Over the invariant denominator L of ``_tau_split`` the conjugates of
     a monomial x^b sum to m x^b when m divides b and to 0 otherwise, so
     the trace is m * P0 / L."""
-    L, P0, _ = _tau_split(f, m)
-    return _invariant(P0.mul_ground(m), L, m, f.mode)
+    L, P0, _ = _tau_split(f)
+    m = f.mode.order
+    return pull_back(_invariant(P0.mul_ground(m), L, m, f.mode), m)
 
 
 @lru_cache(maxsize=None)
@@ -370,22 +376,26 @@ def _average_weights(mode):
         for r in range(1, mode.order))
 
 
-def tau_reduced_root_of_unity(f: RatFunc, m: int):
-    """(g, c) with f = tau(g) - g + c, c tau-invariant (= trace/m); f is
-    tau-summable iff c = 0.  The certificate is the explicit averaging
-    g = (1/m) sum_{i=1}^{m-1} i * tau^i(f - c), re-verified before return.
+def tau_reduced_root_of_unity(f: RatFunc):
+    """(g, c) for q = zeta_m with f = tau(g) - g + c(x^m): c(x^m) is
+    tau-invariant (= trace/m), and c is returned in w = x^m, with x
+    standing for w (``pull_back`` gives c(x^m)); f is tau-summable iff
+    c = 0.  The certificate is the explicit averaging g = (1/m)
+    sum_{i=1}^{m-1} i * tau^i(f - c(x^m)), re-verified before return.
 
-    With f = (P0 + P1)/L as in ``_tau_split``, c = P0/L.  For z^m = 1,
+    With f = (P0 + P1)/L as in ``_tau_split``, c(x^m) = P0/L.  For z^m = 1,
     z != 1, (1/m) sum_{i=1}^{m-1} i z^i = 1/(z - 1), so the average
     divides each monomial x^b of P1 by zeta^(b mod m) - 1."""
     mode = f.mode
-    L, P0, P1 = _tau_split(f, m)
+    L, P0, P1 = _tau_split(f)
+    m = mode.order
     s, inv = _average_weights(mode)
     G = L.ring.zero
     for mon, a in P1.items():
         G[mon] = a * inv[mon[1] % m]
     c = _invariant(P0, L, m, mode)
     g = RatFunc.from_ring(G, L * s, mode)
-    if not is_difference(g, g.qshift_x(1), f, -c):  # pragma: no cover
+    if not is_difference(g, g.qshift_x(1), f,
+                         -pull_back(c, m)):  # pragma: no cover
         raise RatexactError("root-of-unity reduction failed to recompose")
     return g, c

@@ -36,8 +36,7 @@ class PfdTerm:
     ell: int = 0
 
     def value(self) -> RatFunc:
-        return self.num / RatFunc(self.den.shift(y, self.ell) ** self.j,
-                                  self.num.mode)
+        return self.num / self.den.shift(y, self.ell) ** self.j
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def partial_fractions(f: RatFunc) -> Decomposition:
     for d, e in factor(f.den).factors:
         if d.free_of(y):
             continue
-        P, w = d.rep, d.w
+        P, w = d.numer, d.denom
         cof = D.exquo(P ** e)
         s, rho = inverse_mod(cof, P, mode)
         M, dl = rem, delta

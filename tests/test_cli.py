@@ -201,7 +201,7 @@ def test_factor_recomposes_to_its_input(capsys, name, arg, flags, text):
     from ratexact.factorization import factor
     mode = getattr(ratexact, name)(*([] if arg is None else [arg]))
     f = parse_ratfunc(text, mode)
-    p = BiPoly.from_rep(f.numer, mode, f.denom)
+    p = BiPoly.from_ring(f.numer, f.denom, mode)
     assert factor(p).recompose(mode) == p == BiPoly(f.as_expr(), mode)
     code, out, _ = run_json(capsys, "factor", *flags, "--expr", text,
                             "--json")
@@ -248,7 +248,7 @@ def test_usage_error_exit_2(capsys):
         assert code == 2
         assert "error: trace requires q a root of unity" in err
     with pytest.raises(QModeMismatch):
-        tau_reduced_root_of_unity(parse_ratfunc("1/(x*y)", plain()), None)
+        tau_reduced_root_of_unity(parse_ratfunc("1/(x*y)", plain()))
 
 
 def test_corpus_file(tmp_path, capsys):
@@ -459,3 +459,28 @@ def test_decision_path_avoids_y_ring(capsys, monkeypatch):
     assert out["factors"] == [["(x*q^2 - 1)/(q^2)", 1], ["(y*q + x)/(q)", 1],
                               ["(y*x*q - 1)/(q)", 1]]
     assert out["unit"] == "q^4"
+
+
+def test_q_shift_without_a_q_says_a_q_is_required(capsys):
+    # plain mode has no q, which is not the same fault as q a root of unity
+    from ratexact import QModeMismatch, q_summable_x
+    code, out, err = run(capsys, "reduce", "--flavor", "tau-sy", "--expr",
+                         "1/(x+y)")
+    assert code == 2 and out == ""
+    assert err == "error: q-shift reduced form requires a q\n"
+    with pytest.raises(QModeMismatch, match="^q-summability requires a q$"):
+        q_summable_x(parse_ratfunc("1/(x-1)", plain()))
+    code, _, err = run(capsys, "reduce", "--flavor", "tau-sy",
+                       "--root-of-unity", "3", "--expr", "1/(x+y)")
+    assert code == 2
+    assert err == ("error: q-shift reduced form requires q not a root of "
+                   "unity\n")
+
+
+@pytest.mark.parametrize("kind", ["dy", "sy"])
+@pytest.mark.parametrize("mult", ["0", "-1"])
+def test_residue_multiplicity_below_one_is_exit_2(capsys, kind, mult):
+    code, out, err = run(capsys, "residue", "--kind", kind, "--at", "y",
+                         "--mult", mult, "--expr", "1/y")
+    assert code == 2 and out == ""
+    assert err == "error: --mult must be at least 1\n"

@@ -163,10 +163,11 @@ def test_bipoly_canonical():
 
 
 def test_bipoly_pair_is_normal_over_q_field():
-    # over Q(q) a BiPoly is (rep, w) with value rep/w, a coprime pair in
-    # Z[y, x, q]: equal values built in different ways have equal pairs and
-    # hashes, and w is the lcm in Z[q] of the q-denominators of the
-    # coefficients, with positive leading coefficient
+    # over Q(q) a BiPoly is (numer, denom), a coprime pair in Z[y, x, q]
+    # with denom free of y and x: equal values built in different ways
+    # have equal pairs and hashes, and denom is the lcm in Z[q] of the
+    # q-denominators of the coefficients, with positive leading
+    # coefficient
     rng = random.Random(67)
     dens = (1, 2, q, q + 1, 3 * q ** 2 - 1, (q + 1) ** 2)
     for _ in range(20):
@@ -180,16 +181,16 @@ def test_bipoly_pair_is_normal_over_q_field():
                       * (1 / (T.q_element() ** 2 + 2)),
                       (p + r) - r, prim * u, p.shift(x, 2).shift(x, -2),
                       p.qshift_x(3).qshift_x(-3)):
-            assert (other.rep, other.w) == (p.rep, p.w)
+            assert (other.numer, other.denom) == (p.numer, p.denom)
             assert other == p and hash(other) == hash(p)
         if p.is_zero:
             continue
         coeffs = sp.Poly(sp.together(e), x, y).coeffs()
         lcm = reduce(sp.lcm, (sp.fraction(sp.cancel(c))[1] for c in coeffs))
-        assert p.w.LC > 0 and p.rep.gcd(p.w) == 1
-        assert sp.expand(p.w.as_expr()) == sp.expand(lcm * sp.sign(sp.LC(lcm,
-                                                                      q)))
-        assert prim.w == lead_yx(prim.rep) and lead_yx(prim.rep) != 0
+        assert p.denom.LC > 0 and p.numer.gcd(p.denom) == 1
+        assert sp.expand(p.denom.as_expr()) == sp.expand(
+            lcm * sp.sign(sp.LC(lcm, q)))
+        assert prim.denom == lead_yx(prim.numer) != 0
 
 
 def test_equality_is_semantic():
@@ -587,12 +588,12 @@ def _assert_integer_pair(f):
 
 
 def _assert_bipoly_pair(p):
-    """p's (rep, w) is coprime in the integer pair ring, with w free of y
-    and x and a positive leading coefficient."""
-    rep, w = p.rep, p.w
-    assert rep.ring == w.ring == p.mode.pair_ring()
-    assert free_of_gen(w, 0) and free_of_gen(w, 1) and w.LC > 0
-    assert (rep.gcd(w) == 1) if rep else w == 1
+    """p's (numer, denom) is coprime in the integer pair ring, with denom
+    free of y and x and a positive leading coefficient."""
+    n, d = p.numer, p.denom
+    assert n.ring == d.ring == p.mode.pair_ring()
+    assert free_of_gen(d, 0) and free_of_gen(d, 1) and d.LC > 0
+    assert (n.gcd(d) == 1) if n else d == 1
 
 
 _term = st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(0, 2),
@@ -675,7 +676,67 @@ def test_hash_agrees_with_equality_on_built_quotients(mode):
     ring = mode.pair_ring()
     Y = ring.gens[0]
     quo = (2 * Y).exquo(ring(2))
-    a, b = BiPoly.from_rep(quo, mode), BiPoly(y, mode)
+    a, b = BiPoly.from_ring(quo, quo.ring.one, mode), BiPoly(y, mode)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     f, g = RatFunc.from_ring(quo, ring.one, mode), RatFunc(y, mode)
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+
+
+# -- one value kernel: a BiPoly is a RatFunc ----------------------------
+
+_KERNEL_MODES = {"none": P, "3/2": rational("3/2"), "symbolic": T,
+                 "zeta:3": root_of_unity(3), "zeta:4": root_of_unity(4)}
+# the fuzz workload's denominators
+_FUZZ_POOL = [x, y, x + 1, y + 1, x + y, x * y - 1, x + y + 1, x * y + 1,
+              x ** 2 + y]
+
+
+def _pool_poly(data, mode):
+    """c * (a product of pool members) + (a pool member or 0), c a
+    rational number times a power of q (of 3 without q)."""
+    qv = q if mode.has_q else 3
+    parts = data.draw(st.lists(st.sampled_from(_FUZZ_POOL), max_size=3))
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))
+    c = sp.Rational(a, b) * qv ** data.draw(st.integers(-1, 1))
+    return BiPoly(c * sp.prod(parts)
+                  + data.draw(st.sampled_from(_FUZZ_POOL + [0])), mode)
+
+
+@pytest.mark.parametrize("token", sorted(_KERNEL_MODES))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bipoly_operations_are_the_ratfunc_operations(token, data):
+    # the arithmetic, shifts, q-shift and swap of BiPolys give the pair
+    # that the same operation gives on the equal RatFuncs, as a BiPoly;
+    # division and negative powers give a RatFunc
+    mode = _KERNEL_MODES[token]
+    p, p2 = _pool_poly(data, mode), _pool_poly(data, mode)
+    f, f2 = RatFunc(p, mode), RatFunc(p2, mode)
+    assert type(f) is RatFunc and (f.numer, f.denom) == (p.numer, p.denom)
+    n, k = data.draw(st.integers(0, 3)), data.draw(st.integers(-2, 2))
+    same = [(p + p2, f + f2), (p - p2, f - f2), (p * p2, f * f2), (-p, -f),
+            (p ** n, f ** n), (p + 2, f + 2), (3 - p, 3 - f),
+            (p.shift(x, k), f.shift_x(k)), (p.shift(y, k), f.shift_y(k)),
+            (p.swap_xy(), f.swap_xy())]
+    if mode.has_q:
+        same.append((p.qshift_x(k), f.qshift_x(k)))
+    for a, b in same:
+        assert type(a) is BiPoly and type(b) is RatFunc
+        assert (a.numer, a.denom) == (b.numer, b.denom)
+        assert a == b and hash(a) == hash(b)
+    if not p2.is_zero:
+        assert type(p / p2) is RatFunc and p / p2 == f / f2
+    if not p.is_zero:
+        assert type(p ** -2) is RatFunc and p ** -2 == f ** -2
+    assert type(p * f2) is RatFunc and p * f2 == f * f2
+
+
+def test_values_of_two_q_modes_do_not_mix():
+    a, b = RatFunc(x, P), RatFunc(x, T)
+    for op in (lambda: a + b, lambda: a * b, lambda: b / a,
+               lambda: BiPoly(x, P) - BiPoly(x, T), lambda: RatFunc(a, T)):
+        with pytest.raises(QModeMismatch):
+            op()
+    assert (RatFunc(1, P) == None) is False  # noqa: E711
+    assert RatFunc(1, P) != None  # noqa: E711
+    assert BiPoly(x, P) != RatFunc(1 / x, P)

@@ -95,14 +95,14 @@ _MODES = {"none": P, "2": rational(2), "3/2": rational("3/2"),
 def _reference_factor(p):
     """The whole-polynomial factorization: sympy's factor_list of p's
     pair-ring element, then the canonical form of each factor."""
-    mode, P = p.mode, p.rep
+    mode, P = p.mode, p.numer
     const, raw = P.factor_list()
-    unit = to_scalar(P.ring.ground_new(const), p.w, mode)
+    unit = to_scalar(P.ring.ground_new(const), p.denom, mode)
     factors = []
     for f, mult in raw:
-        u, prim = BiPoly.from_rep(f, mode).canonical()
+        u, prim = BiPoly.from_ring(f, f.ring.one, mode).canonical()
         unit *= u ** mult
-        if not prim.rep.is_ground:
+        if not prim.numer.is_ground:
             factors.append((prim, int(mult)))
     return Factorization(unit, _sort_factors(factors))
 
@@ -153,7 +153,7 @@ def test_split_matches_whole_factorization(token, data):
     F = mode.pair_ring()(data.draw(st.sampled_from([1, 2, -3, 6])))
     for d, e, sign in parts:
         F *= (sign * d) ** e
-    p = BiPoly.from_rep(F, mode)
+    p = BiPoly.from_ring(F, F.ring.one, mode)
     assert factor(p) == _reference_factor(p)
 
 
@@ -173,10 +173,11 @@ def _explicit_cases(mode):
 def test_split_matches_whole_factorization_on_explicit_cases(token):
     mode = _MODES[token]
     for name, F in _explicit_cases(mode).items():
-        p = BiPoly.from_rep(F, mode)
+        p = BiPoly.from_ring(F, F.ring.one, mode)
         assert factor(p) == _reference_factor(p), name
     if mode.kind == ROOT_OF_UNITY and mode.order == 4:
-        p = BiPoly.from_rep(_explicit_cases(mode)["x^2+y^2"], mode)
+        F = _explicit_cases(mode)["x^2+y^2"]
+        p = BiPoly.from_ring(F, F.ring.one, mode)
         assert len(factor(p).factors) == 2
 
 
@@ -220,7 +221,7 @@ def test_fuzz_denominators_never_reach_the_factorizer(token, monkeypatch):
         products.append(F)
     calls = _count_leaves(monkeypatch)
     for F in products:
-        p = BiPoly.from_rep(F, mode)
+        p = BiPoly.from_ring(F, F.ring.one, mode)
         assert factor(p).recompose(mode) == p
     assert calls == []
 

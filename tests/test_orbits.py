@@ -23,8 +23,8 @@ def test_sigma_equivalent_basic():
     b = BiPoly(x * (y + 3) - 1, P)
     n, scale = sigma_equivalent(a, b)
     assert n == 3 and scale == 1
-    Y = a.rep.ring.gens[0]
-    assert a.rep.compose(Y, Y + n) == b.rep.mul_ground(scale)
+    Y = a.numer.ring.gens[0]
+    assert a.numer.compose(Y, Y + n) == b.numer.mul_ground(scale)
 
 
 def test_sigma_equivalent_negative_and_scaled():

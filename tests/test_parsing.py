@@ -7,8 +7,9 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import ratexact.core
-from ratexact import (RatFunc, parse_ratfunc, canonical_str,
-                      plain, transcendental, rational, root_of_unity)
+from ratexact import (BiPoly, QModeMismatch, RatFunc, parse_ratfunc,
+                      canonical_str, plain, transcendental, rational,
+                      root_of_unity)
 from ratexact.cli import main
 from ratexact.errors import ExprSyntaxError, RatexactError, ZeroDenominator
 from ratexact.parsing import MAX_DEGREE, MAX_EXPONENT
@@ -277,3 +278,34 @@ def test_parser_matches_expr_constructor(token, data):
     f = parse_ratfunc(text, mode)
     assert f == expected, text
     assert canonical_str(f) == canonical_str(expected), text
+
+
+_Q_MODES = {"none": P, "3/2": rational("3/2"), "symbolic": T,
+            "zeta:2": root_of_unity(2), "zeta:3": root_of_unity(3)}
+
+
+@pytest.mark.parametrize("token", sorted(_Q_MODES))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_expr_constructors_read_q_as_the_parser(token, data):
+    # RatFunc(expr) and BiPoly(expr) read the symbol q as the q-mode's q,
+    # as the parser reads the letter q; without a q, both refuse it
+    mode = _Q_MODES[token]
+    tree = data.draw(_trees("xyq" if mode.has_q else "xy"))
+    text = _text(tree)
+    try:
+        e = _expr(tree, mode, q)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            parse_ratfunc(text, mode)
+        return
+    f = parse_ratfunc(text, mode)
+    assert RatFunc(e, mode) == f, text
+    if f.is_polynomial():
+        assert BiPoly(e, mode) == f, text
+    if not mode.has_q:
+        for cls in (RatFunc, BiPoly):
+            with pytest.raises(QModeMismatch):
+                cls(e + q * y, mode)
+        with pytest.raises(ExprSyntaxError):
+            parse_ratfunc("(%s) + q*y" % text, mode)

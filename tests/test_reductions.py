@@ -10,7 +10,7 @@ from ratexact import (RatFunc, hermite_reduce_y, abramov_reduce_y,
                       parse_ratfunc, tau_reduced_root_of_unity, plain,
                       rational, transcendental, root_of_unity)
 from ratexact.qmodes import q, x, y
-from ratexact.reductions import discrete_antiderivative
+from ratexact.reductions import discrete_antiderivative, pull_back
 
 P = plain()
 T = transcendental()
@@ -142,29 +142,31 @@ def test_tau_reduced_root_of_unity_recompose():
             num = 1 + sum(rng.randint(-9, 9) * x ** i * y ** j
                           for i in range(2) for j in range(2))
             f = RatFunc.from_pair(num, den, M)
-            g0, c = tau_reduced_root_of_unity(f, m)
+            g0, c = tau_reduced_root_of_unity(f)
+            c = pull_back(c, m)
             assert g0.qshift_x(1) - g0 + c == f
             # the averaged part is invariant under the twist
             assert c.qshift_x(1) == c
     # over Q (m = 2) a canonical denominator need not be monic
     f = RatFunc.from_pair(1, (2 * x + 1) * (3 * y + x), root_of_unity(2))
-    g0, c = tau_reduced_root_of_unity(f, 2)
-    assert g0.qshift_x(1) - g0 + c == f
+    g0, c = tau_reduced_root_of_unity(f)
+    assert g0.qshift_x(1) - g0 + pull_back(c, 2) == f
 
 
 def test_tau_reduced_invariant_input_passes_through():
     M = root_of_unity(2)
     f = RatFunc.from_pair(1, x ** 2 * y, M)
-    g0, c = tau_reduced_root_of_unity(f, 2)
+    g0, c = tau_reduced_root_of_unity(f)
     assert g0.is_zero
-    assert c == f
+    # c is returned in w = x^2
+    assert c == RatFunc.from_pair(1, x * y, M) and pull_back(c, 2) == f
 
 
 def test_tau_reduced_antisymmetric_input_collapses():
     # tau negates x/y at m=2, so the average vanishes
     M = root_of_unity(2)
     f = RatFunc.from_pair(x, y, M)
-    g0, c = tau_reduced_root_of_unity(f, 2)
+    g0, c = tau_reduced_root_of_unity(f)
     assert c.is_zero
     assert g0.qshift_x(1) - g0 == f
 
@@ -231,8 +233,9 @@ def test_trace_and_average_match_their_definition():
             for i in range(m):
                 trace = trace + f.qshift_x(i)
                 weighted = weighted + f.qshift_x(i) * i
-            assert trace_xm(f, m) == trace
-            g, c = tau_reduced_root_of_unity(f, m)
+            assert trace_xm(f) == trace
+            g, c = tau_reduced_root_of_unity(f)
+            c = pull_back(c, m)
             assert c == trace / m
             # tau fixes c, so m*g = weighted - m(m-1)/2 * c; compared
             # cross-multiplied, because the difference cancels a gcd of
