@@ -20,7 +20,7 @@ from .factorization import factor as factor_poly
 from .orbits import QSHIFT_X, SHIFT_X
 from .parsing import parse_ratfunc
 from .printing import canonical_str
-from .qmodes import plain, rational, root_of_unity, transcendental
+from .qmodes import plain, rational, root_of_unity, transcendental, y
 from .reductions import (abramov_reduce_y, hermite_reduce_y,
                          phi_dy_reduced_form, pull_back,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity)
@@ -154,6 +154,8 @@ def _cmd_residue(args):
     mode = _mode_from_args(args)
     f = parse_ratfunc(args.expr, mode)
     dp = _polynomial(args.at, mode, "--at must be a polynomial")
+    if dp.free_of(y):  # no root in y, so no residue there
+        raise RatexactError("--at must have positive degree in y")
     if args.kind == "dy":
         r = residue_dy(f, dp)
     else:

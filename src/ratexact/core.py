@@ -14,9 +14,10 @@ k(x)[y]), and every scalar (an orbit scale, a unit, a power of q) is an
 element of ``QMode.coeff_domain()``, moved to and from the pair ring as a
 pair by ``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only
 as the input of the constructors ``BiPoly(expr, mode)`` and
-``RatFunc(expr, mode)``; the ``Expr`` of a value (``.expr``,
-``as_expr()``) is built when asked for.  Over Q(zeta_m) every gcd is
-modular (``_zeta_gcd``), with sympy's subresultant PRS as its fallback.
+``RatFunc(expr, mode)``, and built only by ``as_expr()``.  Over Q(zeta_m)
+every gcd is modular (``_zeta_gcd``), with sympy's subresultant PRS as its
+fallback, and the integer lift ``_zeta_lift`` to Z[y, x, q] serves the
+identity check of ``is_difference`` and the printer.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair is
 coprime in the integer ring, with coprime contents and a positive leading
@@ -25,8 +26,6 @@ and an integer polynomial in q over Q(q); over Q(zeta_m) the denominator
 is monic, and a BiPoly's is 1.  ``BiPoly.canonical()`` splits off a unit
 so that the primitive part is integer-primitive with positive leading
 coefficient over Q and monic in y and x over Q(q) and Q(zeta_m).
-``.expr`` renders a BiPoly term by term, each coefficient in y and x an
-element of k.
 """
 
 from functools import lru_cache
@@ -37,7 +36,6 @@ import sympy as sp
 from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.densetools import dup_shift
-from sympy.polys.polyutils import expr_from_dict
 from sympy.polys.galoistools import (gf_add, gf_eval, gf_gcd, gf_mul,
                                      gf_mul_ground, gf_quo)
 
@@ -484,23 +482,19 @@ def _reduce(n, d, mode):
     return _normal(*cofactors(n, d, mode))
 
 
-def yx_coeffs(P, w, mode):
-    """{(i, j): c in mode.coeff_domain()} with P/w == sum c*y^i*x^j, for
-    pair-ring elements P and w != 0 free of y and x."""
+def yx_coeffs(P, mode):
+    """{(i, j): c in mode.coeff_domain()} with P == sum c*y^i*x^j, for a
+    pair-ring element P."""
+    if P.ring.domain.is_Field:  # Q(zeta_m)
+        return dict(P.items())
     dom = mode.coeff_domain()
     if mode.kind != TRANSCENDENTAL:
-        if P.ring.domain.is_Field:  # Q(zeta_m)
-            return dict(P.quo_ground(w.LC).items())
-        return {m: dom(c, w.LC) for m, c in P.items()}
+        return {m: dom(c) for m, c in P.items()}
     field = dom.field
     groups = {}
     for m, v in P.items():
         groups.setdefault(m[:2], {})[m[2:]] = v
-    if w == 1:  # the canonical pair of c/1 only clears c's denominators
-        return {m: field.field_new(field.ring.from_dict(c, ZZ))
-                for m, c in groups.items()}
-    w = w.set_ring(field.ring)
-    return {m: field.new(field.ring.from_dict(c, ZZ), w)
+    return {m: field.field_new(field.ring.from_dict(c, ZZ))
             for m, c in groups.items()}
 
 
@@ -828,10 +822,9 @@ class BiPoly(RatFunc):
     """A polynomial in k[x, y] (either variable may be absent): a RatFunc
     whose denom is free of y and x, a positive integer over Q, an integer
     polynomial in q with positive leading coefficient over Q(q), and 1
-    over Q(zeta_m).  ``.expr`` is built from the pair only when asked
-    for."""
+    over Q(zeta_m)."""
 
-    __slots__ = ("_expr",)
+    __slots__ = ()
 
     def __init__(self, expr, mode):
         super().__init__(expr, mode)  # a denominator such as 2 or q is allowed
@@ -852,32 +845,10 @@ class BiPoly(RatFunc):
         n, d = from_scalar(mode.coeff_domain().convert(c), mode)
         return cls.from_ring(n, d, mode)
 
-    @property
-    def expr(self):
-        e = getattr(self, "_expr", None)
-        if e is None:
-            P, w = self.numer, self.denom
-            if self.mode.kind == TRANSCENDENTAL:
-                coeffs = yx_coeffs(P, w, self.mode)
-                e = expr_from_dict({m: c.as_expr() for m, c in coeffs.items()},
-                                   y, x)
-            elif w.is_one:
-                e = P.as_expr()
-            else:  # over Q, w an integer
-                e = expr_from_dict({m: sp.Rational(c, w.LC)
-                                    for m, c in P.items()}, y, x)
-            object.__setattr__(self, "_expr", e)
-        return e
-
     def degree(self, var):
         if self.is_zero:
             return -sp.oo
         return self.numer.degree(self.numer.ring.symbols.index(var))
-
-    def coeff_x(self, i):
-        """The coefficient of x^i, a polynomial in y."""
-        return BiPoly.from_ring(self.numer.coeff_wrt(1, i), self.denom,
-                                self.mode)
 
     # -- canonical normalization --------------------------------------
 
@@ -927,17 +898,17 @@ def tree_sum(terms, mode):
 
 @lru_cache(maxsize=None)
 def _lift_ring(ring):
-    """Z[g0, g1, z] for a two-generator ring over Q(zeta_m), and the
-    minimal polynomial Phi_m of zeta_m as a dense list in z."""
-    zring = ring.clone(symbols=ring.symbols + (sp.Symbol("z"),), domain=ZZ)
+    """Z[g0, g1, q] for a two-generator ring over Q(zeta_m), and the
+    minimal polynomial Phi_m of zeta_m as a dense list in q."""
+    zring = ring.clone(symbols=ring.symbols + (q,), domain=ZZ)
     return zring, [c.numerator for c in ring.domain.mod.to_list()]
 
 
 def _zeta_lift(polys):
     """The pairs (polys[0], polys[1]), (polys[2], polys[3]), ... over
-    Q(zeta_m) in Z[g0, g1, z] with zeta_m -> z, each pair times the lcm
+    Q(zeta_m) in Z[g0, g1, q] with zeta_m -> q, each pair times the lcm
     of its coordinates' denominators, so that every fraction keeps its
-    value modulo Phi_m(z); and Phi_m, dense in z."""
+    value modulo Phi_m(q); and Phi_m, dense in q."""
     zring, phi = _lift_ring(polys[0].ring)
     out = []
     for pair in zip(polys[::2], polys[1::2]):
@@ -956,7 +927,7 @@ def _zeta_lift(polys):
 
 
 def _vanishes_mod(p, phi):
-    """True iff p in Z[g0, g1, z] is 0 modulo the monic phi in z."""
+    """True iff p in Z[g0, g1, q] is 0 modulo the monic phi in q."""
     cols = {}
     for (i, j, k), c in p.items():
         cols.setdefault((i, j), {})[k] = c
@@ -969,8 +940,8 @@ def is_difference(g, phi_g, *r):
     polynomial identity (pn*gd - gn*pd)*Rd == Rn*pd*gd, with phi_g =
     pn/pd and Rn/Rd the sum of r, each denominator cleared in turn.
     Every denominator is nonzero, so the identity is exact, and it needs
-    no gcd.  Over Q(zeta_m) it is checked in Z[y, x, z] modulo
-    Phi_m(z) (``_zeta_lift``): a product of integer polynomials costs
+    no gcd.  Over Q(zeta_m) it is checked in Z[y, x, q] modulo
+    Phi_m(q) (``_zeta_lift``): a product of integer polynomials costs
     far less than one of algebraic numbers, each reduced modulo Phi_m."""
     polys = [p for t in (g, phi_g) + r for p in (t.numer, t.denom)]
     phi = None

@@ -259,9 +259,9 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
         acted = [act(ring.gens[v] ** k) * den_M
                  for k in range(max(e[v] for e in es) + 1)]
         cleared += [yx_coeffs(acted[e[v]].mul_monom(e[:v] + (0,) + e[v + 1:])
-                              - B_M.mul_monom(e), ring.one, mode)
+                              - B_M.mul_monom(e), mode)
                     for e in es]
-    cleared.append(yx_coeffs(f.numer * L.exquo(f.denom), ring.one, mode))
+    cleared.append(yx_coeffs(f.numer * L.exquo(f.denom), mode))
 
     sol = _solve_linear(cleared, mode.coeff_domain())
     if sol is None:

@@ -20,7 +20,9 @@ Only a squarefree piece of degree at least 3 in v, or 2 over Q(zeta_m),
 reaches sympy's multivariate factorization (``factor_list``: Wang's
 algorithm over Z, Trager's over Q(zeta_m)), and a backend failure there
 is reported as a RatexactError.  Every gcd goes through ``core.cofactors``,
-modular over Q(zeta_m).
+modular over Q(zeta_m).  The factors are listed in an order read from
+their pair-ring numerators alone (``_sort_factors``); it is printed, and
+it picks the witness among several residual terms.
 """
 
 from dataclasses import dataclass
@@ -49,7 +51,17 @@ class Factorization:
 
 
 def _sort_factors(factors):
-    return tuple(sorted(factors, key=lambda fm: sp.default_sort_key(fm[0].expr)))
+    """factors by their numerators P: number of terms, then total degree
+    in y and x, then degree in y, lower first, then degree in x, higher
+    first, then the terms in the ring's lex order, a coefficient over
+    Q(zeta_m) read by its coordinate list."""
+    def key(fm):
+        P = fm[0].numer
+        terms = [(m, c.to_list() if P.ring.domain.is_Algebraic else c)
+                 for m, c in P.terms()]
+        return (len(terms), max(sum(m[:2]) for m in P.itermonoms()),
+                P.degree(0), -P.degree(1), terms)
+    return tuple(sorted(factors, key=key))
 
 
 def factor(p: BiPoly) -> Factorization:
@@ -57,9 +69,9 @@ def factor(p: BiPoly) -> Factorization:
 
     Factors are primitive canonical representatives in k[x, y]; mixed
     factors are irreducible in k(x)[y] as well (Gauss). Output order is
-    the deterministic canonical sort.  The unit is lead(P)*prod(w_f^e) /
-    (w*prod(lead(P_f)^e)) for p = P/w and each factor P_f/w_f, lead the
-    leading coefficient in y and x.
+    ``_sort_factors``', a function of the factors' values.  The unit is
+    lead(P)*prod(w_f^e) / (w*prod(lead(P_f)^e)) for p = P/w and each
+    factor P_f/w_f, lead the leading coefficient in y and x.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")

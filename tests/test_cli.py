@@ -441,15 +441,23 @@ def test_bad_input_is_exit_2(capsys, tmp_path):
 
 def test_decision_path_avoids_y_ring(capsys, monkeypatch):
     # one ring per q-mode: k(x)[y] and Q(q)[y, x] are off the decision
-    # path, so the bundled corpus decides to the golden bytes, and a
-    # factorization over Q(q) runs, with QMode.y_ring and QMode.poly_ring
-    # unusable
+    # path, and so is every sympy Expr (factor order and printing read
+    # ring data), so the bundled corpus decides to the golden bytes, and a
+    # factorization over Q(q) runs, with QMode.y_ring, QMode.poly_ring,
+    # sympy's default_sort_key and PolyElement.as_expr unusable
+    import sympy
+    from sympy.polys.rings import PolyElement
     from ratexact.qmodes import QMode
 
     def unusable(self):
         raise AssertionError("a second ring built on the decision path")
     monkeypatch.setattr(QMode, "y_ring", unusable)
     monkeypatch.setattr(QMode, "poly_ring", unusable)
+
+    def no_expr(*args, **kwargs):
+        raise AssertionError("a sympy Expr built on the decision path")
+    monkeypatch.setattr(sympy, "default_sort_key", no_expr)
+    monkeypatch.setattr(PolyElement, "as_expr", no_expr)
     code, out, _ = run(capsys, "corpus", str(CORPUS / "cases.txt"), "--json")
     assert code == 0
     assert out.encode() == (CORPUS / "expected.json").read_bytes()
@@ -484,3 +492,13 @@ def test_residue_multiplicity_below_one_is_exit_2(capsys, kind, mult):
                          "--mult", mult, "--expr", "1/y")
     assert code == 2 and out == ""
     assert err == "error: --mult must be at least 1\n"
+
+
+@pytest.mark.parametrize("kind", ["dy", "sy"])
+@pytest.mark.parametrize("at", ["0", "2", "x+1"])
+def test_residue_at_a_y_free_polynomial_is_exit_2(capsys, kind, at):
+    # a polynomial free of y has no root in y, so no residue there
+    code, out, err = run(capsys, "residue", "--kind", kind, "--at", at,
+                         "--expr", "1/y")
+    assert code == 2 and out == ""
+    assert err == "error: --at must have positive degree in y\n"

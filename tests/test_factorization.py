@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
-from ratexact import (BiPoly, Factorization, factor, plain, rational,
-                      root_of_unity, transcendental)
+from ratexact import (BiPoly, Factorization, canonical_str, factor, plain,
+                      rational, root_of_unity, transcendental)
 from ratexact.core import from_scalar, qshift_gen, shift_gen, to_scalar
 from ratexact.factorization import _sort_factors, _sqrt
 from ratexact.qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, q, x, y
@@ -21,7 +21,7 @@ def test_degree_one_is_irreducible():
     fac = factor(BiPoly(x + y, P))
     assert fac.unit == 1
     assert len(fac.factors) == 1
-    assert fac.factors[0][0].expr == x + y
+    assert fac.factors[0][0].as_expr() == x + y
     assert fac.factors[0][1] == 1
 
 
@@ -29,9 +29,9 @@ def test_factor_product_with_multiplicity():
     p = BiPoly(sp.expand(6 * x * (x + y) ** 2 * (x * y - 1)), P)
     fac = factor(p)
     assert fac.recompose(P) == p
-    bases = sorted(sp.sstr(b.expr) for b, _ in fac.factors)
+    bases = sorted(sp.sstr(b.as_expr()) for b, _ in fac.factors)
     assert bases == ["x", "x + y", "x*y - 1"]
-    mults = {sp.sstr(b.expr): e for b, e in fac.factors}
+    mults = {sp.sstr(b.as_expr()): e for b, e in fac.factors}
     assert mults["x + y"] == 2
 
 
@@ -44,7 +44,7 @@ def test_factor_unit_carries_scalar():
 def test_factor_over_q_treats_q_factors_as_units():
     p = BiPoly(sp.expand(q * (q - 1) * x * y), T)
     fac = factor(p)
-    bases = sorted(sp.sstr(b.expr) for b, _ in fac.factors)
+    bases = sorted(sp.sstr(b.as_expr()) for b, _ in fac.factors)
     assert bases == ["x", "y"]
     assert fac.recompose(T) == p
 
@@ -61,8 +61,16 @@ def test_factor_deterministic_order():
     p = BiPoly(sp.expand((x + y) * (x * y - 1) * (y + 1)), P)
     a = factor(p)
     b = factor(p)
-    assert [(sp.sstr(f.expr), e) for f, e in a.factors] \
-        == [(sp.sstr(f.expr), e) for f, e in b.factors]
+    assert [(sp.sstr(f.as_expr()), e) for f, e in a.factors] \
+        == [(sp.sstr(f.as_expr()), e) for f, e in b.factors]
+    # terms, total degree, lower y-degree, higher x-degree, then terms;
+    # over Q(zeta_4) a coefficient reads by its coordinates
+    assert [canonical_str(f) for f, _ in a.factors] \
+        == ["y + x", "y + 1", "y*x - 1"]
+    M = root_of_unity(4)
+    got = factor(BiPoly(sp.expand(y * (x ** 4 - 1) * (x ** 2 + y)), M))
+    assert [canonical_str(f) for f, _ in got.factors] \
+        == ["y", "x - 1", "x - q", "x + 1", "x + q", "x^2 + y"]
 
 
 def test_recomposition_of_random_products():
@@ -79,9 +87,9 @@ def test_recomposition_of_random_products():
         built = {}
         for b in parts:
             _, prim = BiPoly(b, P).canonical()
-            key = sp.sstr(prim.expr)
+            key = sp.sstr(prim.as_expr())
             built[key] = built.get(key, 0) + 1
-        got = {sp.sstr(b.expr): e for b, e in fac.factors}
+        got = {sp.sstr(b.as_expr()): e for b, e in fac.factors}
         assert got == built
 
 
@@ -240,6 +248,6 @@ def test_squarefree_degree_three_piece_reaches_the_factorizer_once(
         fac = factor(BiPoly(sp.expand(c * S), mode))
         assert calls in ([ring.from_expr(sp.expand(S))],
                          [-ring.from_expr(sp.expand(S))])
-        assert sorted(sp.sstr(f.expr) for f, _ in fac.factors
+        assert sorted(sp.sstr(f.as_expr()) for f, _ in fac.factors
                       if f.degree(x) and f.degree(y)) \
             == ["x + y", "x*y + y - 1", "x*y - 1"]

@@ -1,9 +1,12 @@
-"""Golden bytes of `--json` outputs over Q(q) and over Q with q = 3/2.
+"""Golden bytes of `--json` outputs over Q(q), over Q with q = 3/2 and
+over Q(zeta_3).
 
 The corpus holds few symbolic-q lines, so factor order, units and
 witnesses over Q(q) are pinned here: `factor`, `residue --kind dy|sy` and
 `decide` on inputs with several non-exact terms, factors with q-content
-and q-leading coefficients.  Regenerate the golden file, only for a
+and q-leading coefficients.  At q = zeta_3 the same commands pin the
+printer's lift of Q(zeta_3) to integer coefficients in y, x and q.
+Regenerate the golden file, only for a
 change that means to move these bytes, with
 
     PYTHONPATH=src python tests/test_golden_qmodes.py --write
@@ -45,7 +48,7 @@ DECISIONS = [
     ("dqx-dy", "1/((q*x*y - 1)*(x + q*y)) + 1/((q^2*x + 1)*(q*y + x))^2"),
 ]
 
-QMODES = [["--q-symbolic"], ["--q", "3/2"]]
+QMODES = [["--q-symbolic"], ["--q", "3/2"], ["--root-of-unity", "3"]]
 
 
 def commands():

@@ -55,7 +55,7 @@ def test_q_equivalent_symbolic():
     m, scale = res
     assert m == 2
     s = T.coeff_domain().to_sympy(scale)
-    assert sp.cancel(a.expr.subs(x, q ** m * x) - s * b.expr) == 0
+    assert sp.cancel(a.as_expr().subs(x, q ** m * x) - s * b.as_expr()) == 0
 
 
 def test_q_inequivalent_symbolic():
@@ -106,8 +106,8 @@ def test_joint_equivalent():
     (m, n), scale = res
     assert (m, n) == (3, -2)
     s = T.coeff_domain().to_sympy(scale)
-    assert sp.cancel(a.expr.subs(x, q ** m * x).subs(y, y + n)
-                     - s * b.expr) == 0
+    assert sp.cancel(a.as_expr().subs(x, q ** m * x).subs(y, y + n)
+                     - s * b.as_expr()) == 0
 
 
 def test_joint_inequivalent():
@@ -170,7 +170,7 @@ def _substituted(p, ops, powers, mode):
     """p with each of ops raised to its power in powers applied, by
     substitution in p's expression: x -> q^m*x, x -> x + m, y -> y + n."""
     qv = mode.has_q and mode.coeff_domain().to_sympy(mode.q_element())
-    e = p.expr
+    e = p.as_expr()
     for op, n in zip(ops, powers):
         e = e.subs(op.var, qv ** n * x if op == QSHIFT_X else op.var + n)
     return BiPoly(sp.expand(e), mode)
@@ -201,7 +201,7 @@ def test_group_orbits_of_random_translates(name, coeffs, translates):
             assert min(offs) >= 0
             assert mode.coeff_domain().of_type(scale)
             assert _substituted(rep, ops, offs, mode) == d * scale
-    f = RatFunc.from_pair(sources[0].expr, sources[1].expr, mode)
+    f = RatFunc.from_pair(sources[0].as_expr(), sources[1].as_expr(), mode)
     for a, b in ((1, 2), (-2, 3), (3, -3)):
         assert op.pow(op.pow(f, a), b) == op.pow(f, a + b)
         assert op.pow(op.pow(sources[2], a), b) == op.pow(sources[2], a + b)

@@ -1,5 +1,7 @@
 """Expression grammar: round trips, precedence, and error positions."""
 
+import re
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -164,18 +166,46 @@ def test_print_parse_round_trip():
         assert parse_ratfunc(s, mode) == f
 
 
+def _printed_coeffs(text):
+    """The coefficient of each printed term of text, as written (1 when
+    the term starts with a letter), the denominator 1 included when it
+    is not printed."""
+    parts = text[1:-1].split(")/(") if text.startswith("(") else [text, "1"]
+    return [t.split("*")[0] if t[0].isdigit() else "1"
+            for part in parts for t in re.split(" [+-] ", part.lstrip("-"))]
+
+
 def test_round_trip_fuzz():
+    # over Q(zeta_m) too, where the printer lifts the pair to Z[y, x, q]:
+    # in every mode the printed coefficients are integers with gcd 1
     import random
     rng = random.Random(77)
-    for i in range(200):
-        mode = T if i % 3 == 0 else P
+    modes = [T if i % 3 == 0 else P for i in range(200)]
+    for m in (3, 4, 5, 8):
+        modes += [root_of_unity(m)] * 25
+    for mode in modes:
         gens = [x, y] + ([q] if mode.has_q else [])
         def poly():
             t = sum(rng.randint(-9, 9) * rng.choice(gens) ** rng.randint(0, 3)
                     for _ in range(rng.randint(1, 4)))
             return t if t != 0 else sp.Integer(1)
-        f = RatFunc.from_pair(poly(), poly(), mode)
-        assert parse_ratfunc(canonical_str(f), mode) == f
+        try:
+            f = RatFunc.from_pair(poly(), poly(), mode)
+        except ZeroDenominator:  # a polynomial in q that vanishes at zeta_m
+            continue
+        text = canonical_str(f)
+        assert parse_ratfunc(text, mode) == f
+        if not f.is_zero:
+            coeffs = _printed_coeffs(text)
+            assert all(c.isdigit() for c in coeffs), text
+            assert gcd(*map(int, coeffs)) == 1, text
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 4, 6])
+def test_printed_bytes_do_not_depend_on_the_field(m):
+    # integer coefficients over every field: no 1/(y + 1/2) over Q(zeta_m)
+    mode = P if m is None else root_of_unity(m)
+    assert canonical_str(parse_ratfunc("2/(2*y+1)", mode)) == "(2)/(2*y + 1)"
 
 
 def test_round_trip_corpus_expressions():
