@@ -14,26 +14,38 @@ into pieces, each with a multiplicity, before any factorizer runs:
    of the primitive parts in v of 2a*v + b + s and 2a*v + b - s for s^2 =
    b^2 - 4ac (one factor, twice, when s = 0);
 4. any other piece F splits into F/g and g for g = gcd(F, dF/dv), when g
-   is not constant.
+   is not constant;
+5. a squarefree piece free of q whose coefficients lie in Q splits into
+   its factors when each is linear in y or each is linear in x
+   (``_linear_split``: a univariate factorization over Z at one large
+   evaluation point, every factor checked by exact division).
 
-Only a squarefree piece of degree at least 3 in v, or 2 over Q(zeta_m),
-reaches sympy's multivariate factorization (``factor_list``: Wang's
-algorithm over Z, Trager's over Q(zeta_m)), and a backend failure there
-is reported as a RatexactError.  Every gcd goes through ``core.cofactors``,
-modular over Q(zeta_m).  The factors are listed in an order read from
-their pair-ring numerators alone (``_sort_factors``); it is printed, and
-it picks the witness among several residual terms.
+What is left reaches sympy's multivariate factorization (``factor_list``),
+and a backend failure there is reported as a RatexactError.  Over Z,
+Wang's algorithm sees a squarefree piece of degree at least 3 in v that
+depends on q, or whose factors are not all linear in y and not all
+linear in x; over Q(zeta_m), Trager's sees a squarefree piece of degree
+at least 2 in v with a coefficient outside Q, or a rational one whose
+factors are not all linear in one variable.  Rule 5 also passes on a
+piece whose evaluation point does not separate its factors.  Every gcd
+goes through ``core.cofactors``, modular over Q(zeta_m).  The factors
+are listed in an order read from their pair-ring numerators alone
+(``_sort_factors``); it is printed, and it picks the witness among
+several residual terms.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 from operator import sub
 from typing import Tuple
 
 import sympy as sp
+from sympy import ZZ
+from sympy.polys.factortools import dup_zz_factor
 
 from .core import BiPoly, cofactors, exponent_map, lead_yx, to_scalar
 from .errors import RatexactError, ZeroPolynomial
+from .qmodes import plain
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,10 @@ def factor(p: BiPoly) -> Factorization:
             if G.degree(i) < degs[i]:  # F/g for g = gcd(F, dF/dv)
                 pieces += [(G, e), (F.exquo(G), e)]
                 continue
+            lin = _linear_split(F)
+            if lin is not None:
+                found += [(G, e) for G in lin]
+                continue
             try:  # the leaf: a squarefree piece
                 found += [(G, e * m) for G, m in F.factor_list()[1]]
             except (sp.PolynomialError,
@@ -141,6 +157,59 @@ def _content_split(F, mode):
             g = g.exquo(cofactors(g, c, mode)[0])
         if not g.is_ground:
             return [g, F.exquo(g)]
+    return None
+
+
+def _linear_split(F):
+    """The factors of a squarefree F when each is linear in y or each is
+    linear in x, and F is free of q with rational coefficients; otherwise
+    None.  For F primitive in Z[y, x], F(v, B) is factored in Z[v] at a
+    large odd B for the other variable u, and each factor a'*v + b',
+    times the content of F(v, B), is read back as a(u)*v + b(u) from its
+    balanced base-B digits (Char, Geddes and Gonnet, GCDHEU, 1989).  A
+    candidate counts only when it divides what is left of F exactly, and
+    the split only when a unit is left, so B decides whether the rule
+    succeeds, never what it returns.  A primitive factor linear in v is
+    irreducible over every extension of Q."""
+    ring = F.ring
+    if ring.domain.is_Algebraic:
+        cs = {m: c.to_list() for m, c in F.items()}
+        if any(len(c) > 1 for c in cs.values()):
+            return None
+        s = lcm(*(c[0].denominator for c in cs.values()))
+        Z = {m: int(c[0] * s) for m, c in cs.items()}
+    elif ring.ngens > 2 and F.degree(2):
+        return None
+    else:
+        Z = {m[:2]: c for m, c in F.items()}
+    Z = plain().pair_ring().from_dict(Z).primitive()[1]
+    B = 2 ** sum(Z.degrees()) * sum(map(abs, Z.itercoeffs())) + 1
+    for i in (0, 1):
+        image = [0] * (Z.degree(i) + 1)
+        for m, c in Z.items():
+            image[-1 - m[i]] += c * B ** m[1 - i]
+        cont, fs = dup_zz_factor(image, ZZ)
+        if any(len(f) != 2 or k != 1 for f, k in fs):
+            continue
+        rest, out = Z, []
+        for f, _ in fs:
+            terms = {}
+            for e, n in enumerate(reversed(f)):  # e = 0, 1: the powers of v
+                n, k = n * cont, 0
+                while n:
+                    d = (n + B // 2) % B - B // 2
+                    if d:
+                        terms[(e, k) if i == 0 else (k, e)] = d
+                    n, k = (n - d) // B, k + 1
+            G = Z.ring.from_dict(terms).primitive()[1]
+            rest, r = rest.div(G)
+            if r:
+                break
+            out.append(ring.from_dict(
+                {m + (0,) * (ring.ngens - 2): c for m, c in G.items()}, ZZ))
+        else:
+            if rest.is_ground:
+                return out
     return None
 
 

@@ -17,6 +17,7 @@ from typing import Tuple
 
 from .core import (BiPoly, RatFunc, free_of_gen, inverse_mod, prem_y,
                    tree_sum)
+from .errors import RatexactError
 from .factorization import factor
 from .orbits import SHIFT_Y, group_orbits, shift_equivalent
 from .qmodes import y
@@ -111,18 +112,33 @@ def sigma_decomposition(f: RatFunc) -> Decomposition:
     return Decomposition(plain.poly_part, tuple(terms))
 
 
+def _irreducible_y(d: BiPoly):
+    """(u, P) for d = u*c*P with u a scalar, c a polynomial in x (and q)
+    and P an irreducible canonical factor of positive degree in y; a
+    RatexactError when d has no such form."""
+    fac = factor(d)
+    mixed = [fm for fm in fac.factors if not fm[0].free_of(y)]
+    if len(mixed) != 1 or mixed[0][1] != 1:
+        raise RatexactError("a residue needs a polynomial irreducible in "
+                            "k(x)[y], of positive degree in y")
+    return fac.unit, mixed[0][0]
+
+
 def residue_dy(f: RatFunc, d: BiPoly) -> RatFunc:
     """The numerator over the first power of d in the plain decomposition
-    (zero when d is not a simple denominator of f)."""
-    u, dcan = d.canonical()
+    (zero when d is not a simple denominator of f).  A factor of d that
+    is a polynomial in x is dropped, and a scalar factor scales the
+    residue."""
+    u, dcan = _irreducible_y(d)
     return next((t.num.mul_ground(u) for t in partial_fractions(f).terms
                  if t.j == 1 and t.den == dcan), RatFunc(0, f.mode))
 
 
 def residue_sigma(f: RatFunc, d: BiPoly, j: int) -> RatFunc:
     """Sum of sigma_y^(-ell)(a_ell) over the sigma_y-orbit of d at
-    multiplicity j (offsets taken relative to d itself)."""
-    u, dcan = d.canonical()
+    multiplicity j (offsets taken relative to d itself, with d's factors
+    dropped and scaled as in ``residue_dy``)."""
+    u, dcan = _irreducible_y(d)
     parts = []
     for t in sigma_decomposition(f).terms:
         res = shift_equivalent(dcan, t.den, y) if t.j == j else None

@@ -1,10 +1,16 @@
 """The benchmark's tracer (bench/spans.py) wraps ratexact's layers by
 name; a rename in src/ that it does not follow breaks traced benchmark
 runs.  One corpus line per operator pair runs untraced and traced, with
-the same output."""
+the same output.  The benchmark's answer checks (bench/checks.py, which
+never imports ratexact) also re-check the golden corpus certificates, and
+one round of its fuzz inputs pins the factorizer calls they make."""
 
 import importlib.util
+import json
+import random
 from pathlib import Path
+
+from sympy.polys.rings import PolyElement
 
 import ratexact.cli
 
@@ -89,3 +95,35 @@ def test_setup_code_builds_the_rings_of_every_workload():
         Y = mode.y_ring().from_expr(e)
         assert ratexact.RatFunc.from_y(Y, mode) == ratexact.RatFunc(e, mode)
     assert "RatFunc.from_y" in _load_spans().LAYERS["core.arith"][1]
+
+
+def test_golden_certificates_hold_apart_from_ratexact():
+    # each exact (g, h) of corpus/expected.json is read back with sympy
+    # alone and dx(g) + dy(h) - f is evaluated exactly at seeded points
+    run = _load_run()
+    corpus = run.ROOT / "corpus"
+    lines = (corpus / "cases.txt").read_text().splitlines()
+    golden = json.loads((corpus / "expected.json").read_text())
+    exact = [out for out in golden if out.get("exact")]
+    assert len(exact) >= 10
+    for out in exact:
+        pair, _, expr = (t.strip() for t in lines[out["line"] - 1]
+                         .split("|")[:3])
+        assert expr == out["input"]
+        f, g, h = (run.checks.parse(out[k]) for k in ("input", "g", "h"))
+        assert run.checks.identity_holds(pair, out["qmode"], f, g, h,
+                                         random.Random(out["line"])) is None
+
+
+def test_fuzz_round_never_reaches_the_factorizer(monkeypatch):
+    # every squarefree piece of a fuzz denominator is a product of
+    # factors linear in y, which factorization._linear_split finds
+    run = _load_run()
+    calls = []
+    whole = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda self: calls.append(self) or whole(self))
+    for case in run.workloads.round_cases("fuzz", 2026, 0):
+        ok, out = ratexact.cli.run_corpus_line(case.line)
+        assert ok and out["outcome"] == case.expected, out
+    assert calls == []

@@ -502,3 +502,28 @@ def test_residue_at_a_y_free_polynomial_is_exit_2(capsys, kind, at):
                          "--expr", "1/y")
     assert code == 2 and out == ""
     assert err == "error: --at must have positive degree in y\n"
+
+
+@pytest.mark.parametrize("kind", ["dy", "sy"])
+@pytest.mark.parametrize("at", ["y^2", "y*(y+1)"])
+def test_residue_at_a_reducible_polynomial_is_exit_2(capsys, kind, at):
+    # a residue is taken at one irreducible factor in k(x)[y]
+    code, out, err = run(capsys, "residue", "--kind", kind, "--at", at,
+                         "--expr", "1/(y^2*(y+1)) + 1/(x*y)")
+    assert code == 2 and out == ""
+    assert err == ("error: a residue needs a polynomial irreducible in "
+                   "k(x)[y], of positive degree in y\n")
+
+
+@pytest.mark.parametrize("kind", ["dy", "sy"])
+def test_residue_drops_the_factor_free_of_y(capsys, kind):
+    # x*y is y times a unit of k(x): the residue at it is the one at y
+    expr = "1/(y^2*(y+1)) + 1/(x*y)"
+    got = {}
+    for at in ("x*y", "y"):
+        code, out, _ = run(capsys, "residue", "--kind", kind, "--at", at,
+                           "--expr", expr)
+        assert code == 0
+        got[at] = out
+    assert got["x*y"] == got["y"] == \
+        {"dy": "(-x + 1)/(x)\n", "sy": "(1)/(x)\n"}[kind]

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
-from ratexact import (BiPoly, Factorization, canonical_str, factor, plain,
-                      rational, root_of_unity, transcendental)
+from ratexact import (BiPoly, Factorization, canonical_str, factor,
+                      factorization, plain, rational, root_of_unity,
+                      transcendental)
+from ratexact.cli import run_corpus_line
 from ratexact.core import from_scalar, qshift_gen, shift_gen, to_scalar
 from ratexact.factorization import _sort_factors, _sqrt
 from ratexact.qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, q, x, y
@@ -237,17 +239,107 @@ def test_fuzz_denominators_never_reach_the_factorizer(token, monkeypatch):
 @pytest.mark.parametrize("token", ["none", "symbolic"])
 def test_squarefree_degree_three_piece_reaches_the_factorizer_once(
         token, monkeypatch):
-    # the factorizer sees the squarefree piece S alone, not the factors
-    # free of y or of x around it
+    # S, whose factors are linear in y, never reaches the factorizer; W,
+    # with a factor of degree 2 in both y and x, reaches it alone, without
+    # the factors free of y or of x around it
     mode = _MODES[token]
     S = (x + y) * (x * y - 1) * (x * y + y - 1)
+    W = (x + y) * (x * y - 1) * (x ** 2 * y ** 2 + x + y + 1)
     ring = mode.pair_ring()
     calls = _count_leaves(monkeypatch)
     for c in (1, (x + 1) ** 2 * y ** 3):
         calls.clear()
         fac = factor(BiPoly(sp.expand(c * S), mode))
-        assert calls in ([ring.from_expr(sp.expand(S))],
-                         [-ring.from_expr(sp.expand(S))])
+        assert calls == []
         assert sorted(sp.sstr(f.as_expr()) for f, _ in fac.factors
                       if f.degree(x) and f.degree(y)) \
             == ["x + y", "x*y + y - 1", "x*y - 1"]
+        fac = factor(BiPoly(sp.expand(c * W), mode))
+        assert calls in ([ring.from_expr(sp.expand(W))],
+                         [-ring.from_expr(sp.expand(W))])
+        assert sorted(sp.sstr(f.as_expr()) for f, _ in fac.factors
+                      if f.degree(x) and f.degree(y)) \
+            == ["x + y", "x**2*y**2 + x + y + 1", "x*y - 1"]
+
+
+# -- factors linear in one variable, from one evaluation point ---------
+
+def _linear_factor(rng, ring):
+    """A random primitive factor a(u)*v + b(u) of ring, mixed in y and x,
+    with v one of y and x and deg a, deg b <= 2."""
+    while True:
+        i = rng.randrange(2)
+        v, u = ring.gens[i], ring.gens[1 - i]
+        a, b = (sum(rng.randint(-3, 3) * u ** k for k in range(3))
+                for _ in "ab")
+        f = a * v + b
+        if a and f.degree(1 - i) > 0 and a.gcd(b).is_ground:
+            return f
+
+
+@pytest.mark.parametrize("token", ["none", "symbolic"])
+def test_linear_split_matches_the_factorizer(token, monkeypatch):
+    # products of 3 to 5 factors: the rule gives the factorizer's
+    # answer, and without calling it when the factors share a variable
+    # they are linear in
+    mode = _MODES[token]
+    ring = mode.pair_ring()
+    rng = random.Random("linear-split:" + token)
+    calls = _count_leaves(monkeypatch)
+    for _ in range(40):
+        fs = [_linear_factor(rng, ring) for _ in range(rng.randint(3, 5))]
+        if rng.random() < 0.5:  # all linear in the first one's variable
+            i = 0 if fs[0].degree(0) == 1 else 1
+            fs = [f if f.degree(i) == 1 else f.compose(
+                [(ring.gens[0], ring.gens[1]), (ring.gens[1], ring.gens[0])])
+                for f in fs]
+        p = BiPoly.from_ring(sp.prod(fs, start=ring.one), ring.one, mode)
+        calls.clear()
+        got = factor(p)
+        one = any(all(f.degree(i) == 1 for f in fs) for i in (0, 1))
+        assert not (one and calls)
+        with monkeypatch.context() as m:
+            m.setattr(factorization, "_linear_split", lambda F: None)
+            assert got == factor(p)
+
+
+def test_pieces_the_rule_passes_on_reach_the_factorizer_once(monkeypatch):
+    R = P.pair_ring()
+    Y, X = R.gens
+    Yq, Xq, Q = T.pair_ring().gens
+    images = []
+    whole = factorization.dup_zz_factor
+
+    def recorded(f, K):
+        images.append(whole(f, K))
+        return images[-1]
+    monkeypatch.setattr(factorization, "dup_zz_factor", recorded)
+    calls = _count_leaves(monkeypatch)
+    pieces = [
+        # a factor of degree 2 in both y and x
+        (P, (X + Y) * (X * Y - 1) * (X ** 2 * Y ** 2 + X + Y + 1)),
+        # a piece that depends on q
+        (T, (Xq + Q * Yq) * (Xq * Yq - Q) * (Xq * Yq + Q * Yq + 1)),
+        # at y -> B, with B - 1 a square, (x - 1)*y^2 - 1 splits into
+        # two spurious linear factors that do not divide the piece
+        (P, ((X - 1) * Y ** 2 - 1) * (Y + X ** 2) * (Y + X ** 2 + 1)),
+    ]
+    for mode, F in pieces:
+        p = BiPoly.from_ring(F, F.ring.one, mode)
+        want = _reference_factor(p)
+        calls.clear()
+        images.clear()
+        assert factor(p) == want
+        assert len(calls) == 1
+    assert any(all(len(f) == 2 and k == 1 for f, k in fs)
+               for _, fs in images)  # the last piece's spurious image
+
+
+def test_rational_pieces_over_cyclotomic_fields_skip_trager(monkeypatch):
+    # the tau-invariant denominators hold y^5 + x^5 and y^5*x^5 - 1, whose
+    # factors over Q are linear in x and stay irreducible over Q(zeta_5)
+    calls = _count_leaves(monkeypatch)
+    for line in ("dqx-dy | zeta:5 | 1/((q*x+y)^2*(y^2+x+1)) | not-exact",
+                 "dqx-dy | zeta:5 | (x+q*y)/((x*y-1)*(x+y+1)) | not-exact"):
+        assert run_corpus_line(line)[0]
+    assert calls == []

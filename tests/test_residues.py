@@ -108,7 +108,7 @@ def test_residue_sigma_detects_summable():
 # -- commutation identities used by the reduction step ----------------
 
 def _rand_instances(rng, n):
-    pool = [y, y + 1, y ** 2 + 1, y ** 2 + y + 1, 2 * y + 1, y ** 3 + y + 2]
+    pool = [y, y + 1, y ** 2 + 1, y ** 2 + y + 1, 2 * y + 1, y ** 3 + y + 1]
     for _ in range(n):
         d = rng.choice(pool)
         num = sum(rng.randint(-9, 9) * x ** i * y ** j
