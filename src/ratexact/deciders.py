@@ -99,7 +99,7 @@ def _decide_reduced_form(f, pair):
         witness = (NonSummableResidue(t.den, t.j, t.num) if t.den.free_of(x)
                    else MixedDenominator(t.den))
         return Decision(False, witness=witness, pair=pair)
-    if not verify_certificate(f, rf.g, rf.h, pair):  # pragma: no cover
+    if not verify_certificate(f, rf.g, rf.h, pair):
         raise RatexactError("assembled certificate failed verification")
     return Decision(True, certificate=(rf.g, rf.h), pair=pair)
 

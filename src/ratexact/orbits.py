@@ -215,12 +215,6 @@ class Operator:
             return q_equivalent(p, p2)
         return shift_equivalent(p, p2, self.var)
 
-    def summable(self, f):
-        """The summability test of this x-operator on f, a rational
-        function of x over k(y): a SummabilityResult."""
-        from .summation import summable
-        return summable(f, self)
-
 
 SHIFT_X = Operator(SHIFT, x)
 QSHIFT_X = Operator(QSHIFT, x)

@@ -1,9 +1,10 @@
-"""Univariate rational summability in x with certificates.
+"""Univariate rational summability in x with certificates: a library
+front end that the decision path does not use.
 
 Both x-operators, the shift and the q-shift (q not a root of unity),
 are decided by the one Abramov reduction of ``reductions.abramov_reduce``:
 f is summable iff the reduction leaves no term, and then its g is the
-certificate, re-verified before it is returned.
+certificate, re-verified here, as no later check covers it.
 """
 
 from dataclasses import dataclass

@@ -2,12 +2,14 @@
 name; a rename in src/ that it does not follow breaks traced benchmark
 runs.  One corpus line per operator pair runs untraced and traced, with
 the same output.  The benchmark's answer checks (bench/checks.py, which
-never imports ratexact) also re-check the golden corpus certificates, and
-one round of its fuzz inputs pins the factorizer calls they make."""
+never imports ratexact) also re-check the golden certificates of the
+corpus and of tests/golden_qmodes.txt, and one round of its fuzz inputs
+pins the factorizer calls they make."""
 
 import importlib.util
 import json
 import random
+import re
 from pathlib import Path
 
 from sympy.polys.rings import PolyElement
@@ -97,22 +99,41 @@ def test_setup_code_builds_the_rings_of_every_workload():
     assert "RatFunc.from_y" in _load_spans().LAYERS["core.arith"][1]
 
 
+def _golden_qmodes_exact():
+    """(pair, expression, JSON output, line number) of each exact `decide`
+    line of tests/golden_qmodes.txt."""
+    text = (Path(__file__).resolve().parent / "golden_qmodes.txt").read_text()
+    lines = text.splitlines()
+    for n, (cmd, out) in enumerate(zip(lines, lines[1:]), 2):
+        m = re.match(r"\$ ratexact decide --pair (\S+) .* --expr (.*) --json$",
+                     cmd)
+        if m and '"exact": true' in out:
+            yield m.group(1), m.group(2), json.loads(out[len("[0] "):]), n
+
+
 def test_golden_certificates_hold_apart_from_ratexact():
-    # each exact (g, h) of corpus/expected.json is read back with sympy
-    # alone and dx(g) + dy(h) - f is evaluated exactly at seeded points
+    # each exact (g, h) of corpus/expected.json and of the `decide` lines
+    # of tests/golden_qmodes.txt is read back with sympy alone, and
+    # dx(g) + dy(h) - f is evaluated exactly at seeded points
     run = _load_run()
     corpus = run.ROOT / "corpus"
     lines = (corpus / "cases.txt").read_text().splitlines()
     golden = json.loads((corpus / "expected.json").read_text())
-    exact = [out for out in golden if out.get("exact")]
-    assert len(exact) >= 10
-    for out in exact:
-        pair, _, expr = (t.strip() for t in lines[out["line"] - 1]
-                         .split("|")[:3])
-        assert expr == out["input"]
-        f, g, h = (run.checks.parse(out[k]) for k in ("input", "g", "h"))
+    cases = []
+    for out in golden:
+        if out.get("exact"):
+            pair, _, expr = (t.strip() for t in lines[out["line"] - 1]
+                             .split("|")[:3])
+            assert expr == out["input"]
+            cases.append((pair, expr, out, out["line"]))
+    assert len(cases) >= 10
+    qmodes = list(_golden_qmodes_exact())
+    assert sorted(out["qmode"] for _, _, out, _ in qmodes) == [
+        "3/2", "symbolic", "zeta:3"]
+    for pair, expr, out, seed in cases + qmodes:
+        f, g, h = (run.checks.parse(t) for t in (expr, out["g"], out["h"]))
         assert run.checks.identity_holds(pair, out["qmode"], f, g, h,
-                                         random.Random(out["line"])) is None
+                                         random.Random(seed)) is None, expr
 
 
 def test_fuzz_round_never_reaches_the_factorizer(monkeypatch):

@@ -1,10 +1,13 @@
 """CLI behavior: JSON schemas, exit codes, qmode flags, and the corpus
 runner."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratexact import RatFunc, canonical_str, parse_ratfunc, plain
 from ratexact.cli import main, run_corpus_line
@@ -527,3 +530,67 @@ def test_residue_drops_the_factor_free_of_y(capsys, kind):
         got[at] = out
     assert got["x*y"] == got["y"] == \
         {"dy": "(-x + 1)/(x)\n", "sy": "(1)/(x)\n"}[kind]
+
+
+# -- no internal errors -----------------------------------------------
+
+def _shaped(depth):
+    """Expression text in the CLI grammar: leaves in x, y, q and small
+    integers; sums, differences, products, quotients and powers -2 to 3,
+    nested `depth` deep: numerators and denominators of total degree at
+    most 9."""
+    leaf = st.sampled_from(["x", "y", "q", "0", "1", "2", "-3"])
+    if not depth:
+        return leaf
+    sub = _shaped(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})^{}".format, sub, st.integers(-2, 3)))
+
+
+# past the degree ceiling, zero once q is 1, or junk
+_HOSTILE = st.sampled_from(["x^99999/y", "(y^40)^40 + x", "1/((q - 1)*y)",
+                            "y/(x - x)", "q^-99999*x", "zeta", ""])
+
+# grammar-shaped text is drawn twice as often as each other kind
+_TEXT = st.one_of(_shaped(2), _shaped(2), _HOSTILE,
+                  st.text("xyq0123+-*/^() .", max_size=10),
+                  st.text(max_size=6))
+
+_AT = st.sampled_from(["y", "y + 1", "x + y", "q*x*y - 1", "y^2 + x"])
+
+_QFLAGS = st.one_of(
+    st.just([]), st.just(["--q-symbolic"]),
+    st.sampled_from(["0", "1", "-1", "2", "3/2", "-2/3"]).map(
+        lambda v: ["--q", v]),
+    st.integers(1, 12).map(lambda m: ["--root-of-unity", str(m)]))
+
+
+@st.composite
+def _commands(draw):
+    cmd = draw(st.sampled_from(["decide", "reduce", "residue", "factor"]))
+    if cmd == "decide":
+        args = ["--pair", draw(st.sampled_from(["dx-dy", "dqx-dy",
+                                                "dqx-sy"]))]
+    elif cmd == "reduce":
+        args = ["--flavor", draw(st.sampled_from(
+            ["hermite", "abramov", "phi-dy", "tau-sy", "tau-rou"]))]
+    elif cmd == "residue":
+        args = ["--kind", draw(st.sampled_from(["dy", "sy"])),
+                "--at=" + draw(st.one_of(_AT, _TEXT)),
+                "--mult", draw(st.sampled_from(["1", "1", "2", "0"]))]
+    else:
+        args = []
+    return [cmd, *args, "--expr=" + draw(_TEXT), *draw(_QFLAGS),
+            *draw(st.sampled_from([[], ["--json"]]))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_commands())
+def test_no_input_is_an_internal_error(argv):
+    # bad input exits 2, never 3 with a traceback's worth of fault
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -7,15 +7,16 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ratexact import (BiPoly, RatFunc, decide_exact, verify_certificate,
-                      brute_force_exact, operator_pair, plain,
-                      transcendental, root_of_unity, rational, QSHIFT_X,
-                      SHIFT_X)
+from ratexact import (BiPoly, RatFunc, RatexactError, decide_exact,
+                      verify_certificate, brute_force_exact, operator_pair,
+                      plain, transcendental, root_of_unity, rational,
+                      QSHIFT_X, SHIFT_X)
 from ratexact.deciders import (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y,
                                QSHIFT_X_SHIFT_Y, ROU_DERIV_Y, ROU_SHIFT_Y,
                                MixedDenominator, NonSummableResidue,
                                _hull_candidates)
 from ratexact.qmodes import q, x, y
+from ratexact.reductions import abramov_reduce
 
 P = plain()
 T = transcendental()
@@ -101,6 +102,73 @@ def test_wrong_certificate_rejected():
         for k in range(3):
             assert not verify_certificate(f, _bumped(g, k), h, pair)
             assert not verify_certificate(f, g, _bumped(h, k), pair)
+
+
+
+# -- one identity check per exact answer -----------------------------
+
+# (pair, mode, exact input): the input's one residual term, over y, has a
+# numerator summable in x and is absorbed into g; 1/((x-1)*y) is not
+# exact on any of the pairs
+ABSORBED = (
+    (SHIFT_X_DERIV_Y, P, 1 / ((x - 1) * y) - 1 / ((x + 3) * y)),
+    (QSHIFT_X_DERIV_Y, rational(2), 1 / ((x - 1) * y) - 1 / ((8 * x - 1) * y)),
+    (QSHIFT_X_SHIFT_Y, T, 1 / ((x - 1) * y) - 1 / ((q ** 3 * x - 1) * y)),
+)
+
+
+def test_one_identity_check_per_exact_answer(monkeypatch):
+    # the absorbed term's certificate ends in g, which verify_certificate
+    # checks once; no module checks the term on its own
+    from ratexact import core, deciders, reductions, summation
+    real, calls = core.is_difference, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (core, deciders, reductions, summation):
+        monkeypatch.setattr(mod, "is_difference", counting)
+    for pair, mode, exact in ABSORBED:
+        calls.clear()
+        d = decide_exact(RatFunc(exact, mode), pair)
+        assert d.exact and not d.certificate[0].is_zero, pair.name
+        assert len(calls) == 1, pair.name
+        calls.clear()
+        assert not decide_exact(RatFunc(1 / ((x - 1) * y), mode), pair).exact
+        assert calls == [], pair.name
+
+
+def test_wrong_summability_certificate_fails_the_final_check(monkeypatch):
+    # 1/(x+y+7) is not fixed by the x-shift, so added to the absorbed
+    # term's certificate it changes dx(g)
+    from ratexact import reductions
+    real = reductions.abramov_reduce
+
+    def corrupted(f, op):
+        g, terms = real(f, op)
+        if op.var == x:
+            g = g + RatFunc(1 / (x + y + 7), f.mode)
+        return g, terms
+
+    monkeypatch.setattr(reductions, "abramov_reduce", corrupted)
+    for pair, mode, exact in ABSORBED:
+        with pytest.raises(RatexactError, match="assembled certificate"):
+            decide_exact(RatFunc(exact, mode), pair)
+
+
+def test_wrong_trace_part_fails_the_trace_check(monkeypatch):
+    # at q = zeta_m the trace check is the one check of c(x^m)
+    from ratexact import reductions
+    real = reductions._invariant
+
+    def corrupted(P, L, m, mode):
+        return real(P, L, m, mode) + RatFunc(1 / (y + 5), mode)
+
+    monkeypatch.setattr(reductions, "_invariant", corrupted)
+    f = RatFunc(x / y + 1 / (x * y ** 2), root_of_unity(3))
+    with pytest.raises(RatexactError, match="root-of-unity reduction"):
+        decide_exact(f, ROU_DERIV_Y)
 
 
 # -- invariance properties -------------------------------------------
@@ -281,7 +349,7 @@ def test_brute_force_agrees_with_decider_on_all_pairs():
             assert rf.recompose() == f
             w = decided.witness
             assert isinstance(w, NonSummableResidue)
-            assert not pair.dx.summable(w.residue).summable
+            assert abramov_reduce(w.residue, pair.dx)[1]
 
 
 def test_brute_force_finds_certificate_where_q0_is_singular():
