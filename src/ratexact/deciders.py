@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple
 
+from sympy import QQ, ZZ
+
 from .core import (BiPoly, RatFunc, is_difference, qshift_gen, ring_lcm,
                    shift_gen, yx_coeffs)
 from .errors import QModeMismatch, RatexactError
 from .orbits import (DERIV, QSHIFT_X_DERIV_Y, QSHIFT_X_SHIFT_Y, ROU_DERIV_Y,
                      ROU_SHIFT_Y, SHIFT, SHIFT_X_DERIV_Y, Pair, group_orbits)
-from .qmodes import ROOT_OF_UNITY, x
+from .qmodes import ROOT_OF_UNITY, TRANSCENDENTAL, x
 from .reductions import (phi_dy_reduced_form, pull_back, reduce_y,
                          tau_sigma_reduced_form, tau_reduced_root_of_unity)
 
@@ -117,7 +119,7 @@ def _decide_root_of_unity(f: RatFunc, pair) -> Decision:
                                                    pull_back(t.num, m)),
                         pair=pair)
     h = pull_back(hw, m)
-    if not verify_certificate(f, g0, h, pair):  # pragma: no cover
+    if not verify_certificate(f, g0, h, pair):
         raise RatexactError("root-of-unity certificate failed verification")
     return Decision(True, certificate=(g0, h), pair=pair)
 
@@ -162,7 +164,9 @@ def _solve_linear(columns, K):
     """Particular solution of the system sum_j x_j*columns[j] ==
     columns[-1], each column a dict of nonzero K-elements by row key, or
     None if it is inconsistent.  The rows go to sympy as the sparse
-    dicts they are."""
+    dicts they are.  K is mode.coeff_domain(), or Q for a system over
+    Q(q) whose columns are polynomials in q times rational vectors
+    (``_solve``)."""
     from sympy.polys.matrices import DomainMatrix
     rows = {}
     for j, col in enumerate(columns):
@@ -179,6 +183,62 @@ def _solve_linear(columns, K):
     for r, c in enumerate(pivots):
         sol[c] = last[r].get(ncols, K.zero)
     return sol
+
+
+def _q_times_rational(P):
+    """(s, C) with P == s(q)*C(y, x) for an element P of Z[y, x, q]: s as
+    a dict of integers by exponent of q, and C as a dict of nonzero
+    rationals by (y, x) exponents; None when there is no such split.
+    Each (y, x)-coefficient c of P must be a rational multiple of the
+    first one, s: c*lc(s) == s*lc(c), compared coefficient by coefficient
+    without a gcd.  Zero is 1 times the empty vector."""
+    groups = {}
+    for m, v in P.items():
+        groups.setdefault(m[:2], {})[m[2:]] = v
+    if not groups:
+        return {(0,): 1}, {}
+    (key, s), *others = groups.items()
+    lead = s[max(s)]
+    C = {key: QQ.one}
+    for key, c in others:
+        lc = c[max(c)]
+        if c.keys() != s.keys() or any(v * lead != s[k] * lc
+                                       for k, v in c.items()):
+            return None
+        C[key] = QQ(lc, lead)
+    return s, C
+
+
+def _solve(columns, mode):
+    """``_solve_linear`` for pair-ring columns, over mode.coeff_domain().
+
+    Over Q(q), when every column and the right-hand side is s_j(q) times
+    a rational vector C_j (``_q_times_rational``), sum_j z_j*C_j == C_b
+    is solved over Q and x_j = z_j*s_b/s_j: the scaling keeps the pivots
+    and the particular solution, and rational vectors have the same rank
+    over Q and over Q(q).  Any other system is solved over
+    mode.coeff_domain() on its (y, x)-coefficients."""
+    K = mode.coeff_domain()
+    if mode.kind == TRANSCENDENTAL:
+        split = []
+        for P in columns:
+            part = _q_times_rational(P)
+            if part is None:
+                break
+            split.append(part)
+        else:
+            scales, vectors = zip(*split)
+            z = _solve_linear(vectors, QQ)
+            if z is None:
+                return None
+            field = K.field
+
+            def scalar(s):
+                return field.field_new(field.ring.from_dict(s, ZZ))
+            s_b = scalar(scales[-1])
+            return [K.convert(c, QQ) * s_b / scalar(s) if c else K.zero
+                    for c, s in zip(z, scales)]
+    return _solve_linear([yx_coeffs(P, mode) for P in columns], K)
 
 
 def _delta_over(op, den, mode, top):
@@ -214,7 +274,9 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
     (or h), each basis element op.delta(mu/den) is N/E over one E per
     operator (``_delta_over``), and f = dx(g) + dy(h) is multiplied by L,
     the lcm of both E and f's denominator, so no basis element costs a
-    gcd.  It is solved over mode.coeff_domain(), Q(q) included.
+    gcd.  It is solved over mode.coeff_domain(), Q(q) included; over
+    Q(q) it is solved over Q when every column is a polynomial in q times
+    a rational vector (``_solve``), with the same certificate.
     """
     from .factorization import factor as factor_poly
     mode = f.mode
@@ -258,12 +320,11 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
         v = ring.symbols.index(op.var)
         acted = [act(ring.gens[v] ** k) * den_M
                  for k in range(max(e[v] for e in es) + 1)]
-        cleared += [yx_coeffs(acted[e[v]].mul_monom(e[:v] + (0,) + e[v + 1:])
-                              - B_M.mul_monom(e), mode)
-                    for e in es]
-    cleared.append(yx_coeffs(f.numer * L.exquo(f.denom), mode))
+        cleared += [acted[e[v]].mul_monom(e[:v] + (0,) + e[v + 1:])
+                    - B_M.mul_monom(e) for e in es]
+    cleared.append(f.numer * L.exquo(f.denom))
 
-    sol = _solve_linear(cleared, mode.coeff_domain())
+    sol = _solve(cleared, mode)
     if sol is None:
         return None
     certificate = []
@@ -275,6 +336,6 @@ def brute_force_exact(f: RatFunc, pair, R=4, D=4):
         certificate.append(RatFunc.from_ring(num.numer, num.denom * den,
                                              mode))
     g, h = certificate
-    if not verify_certificate(f, g, h, pair):  # pragma: no cover
+    if not verify_certificate(f, g, h, pair):
         raise RatexactError("oracle certificate failed verification")
     return g, h

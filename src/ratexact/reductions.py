@@ -256,12 +256,29 @@ def _absorb_summable(terms, dx):
     phi fixes d; moving it out makes the residual vanish on every pure
     difference.  a is a polynomial in y over a y-free denominator, so it
     is summable iff each y-coefficient is, and then one Abramov reduction
-    over k(y) gives b; b ends in g, which the deciders check once."""
-    extra, rest = [], []
-    for t in terms:
-        if t.den.free_of(x):
-            b, left = abramov_reduce(t.num, dx)
-            if not left:
+    over k(y) gives b; b ends in g, which the deciders check once.
+    Numerators that are scalar multiples of one another share one
+    reduction: they are keyed on the primitive parts of numerator and
+    denominator, and b is scaled by the ratio of their units.  A key
+    costs a gcd over Q(q), so a lone such term is not keyed."""
+    extra, rest, reduced = [], [], {}
+    free = [t.den.free_of(x) for t in terms]
+    keyed = sum(free) > 1
+    for t, free_of_x in zip(terms, free):
+        if free_of_x:
+            if keyed:
+                (un, pn), (ud, pd) = (t.num.num.canonical(),
+                                      t.num.den.canonical())
+                key, unit = (pn, pd), un / ud
+            else:
+                key, unit = None, 1
+            if key not in reduced:
+                b, left = abramov_reduce(t.num, dx)
+                reduced[key] = unit, (None if left else b)
+            u0, b = reduced[key]
+            if b is not None:
+                if unit != u0:
+                    b = b.mul_ground(unit / u0)
                 extra.append(b / t.den ** t.j)
                 continue
         rest.append(t)

@@ -7,10 +7,10 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ratexact import (BiPoly, RatFunc, RatexactError, decide_exact,
-                      verify_certificate, brute_force_exact, operator_pair,
-                      plain, transcendental, root_of_unity, rational,
-                      QSHIFT_X, SHIFT_X)
+from ratexact import (BiPoly, RatFunc, RatexactError, canonical_str,
+                      decide_exact, verify_certificate, brute_force_exact,
+                      operator_pair, plain, transcendental, root_of_unity,
+                      rational, QSHIFT_X, SHIFT_X)
 from ratexact.deciders import (SHIFT_X_DERIV_Y, QSHIFT_X_DERIV_Y,
                                QSHIFT_X_SHIFT_Y, ROU_DERIV_Y, ROU_SHIFT_Y,
                                MixedDenominator, NonSummableResidue,
@@ -168,6 +168,23 @@ def test_wrong_trace_part_fails_the_trace_check(monkeypatch):
     monkeypatch.setattr(reductions, "_invariant", corrupted)
     f = RatFunc(x / y + 1 / (x * y ** 2), root_of_unity(3))
     with pytest.raises(RatexactError, match="root-of-unity reduction"):
+        decide_exact(f, ROU_DERIV_Y)
+
+
+def test_wrong_root_of_unity_h_fails_verification(monkeypatch):
+    # at q = zeta_m, h is pulled back from the reduction in y of c(x^m);
+    # a term added to it changes dy(h)
+    from ratexact import deciders
+    real = deciders.reduce_y
+
+    def corrupted(c, dy):
+        hw, terms = real(c, dy)
+        return hw + RatFunc(1 / (y + 5), c.mode), terms
+
+    f = RatFunc(1 / (x * y), root_of_unity(3))
+    assert decide_exact(f, ROU_DERIV_Y).exact
+    monkeypatch.setattr(deciders, "reduce_y", corrupted)
+    with pytest.raises(RatexactError, match="root-of-unity certificate"):
         decide_exact(f, ROU_DERIV_Y)
 
 
@@ -361,6 +378,87 @@ def test_brute_force_finds_certificate_where_q0_is_singular():
     found = brute_force_exact(f, QSHIFT_X_DERIV_Y, R=2, D=2)
     assert found is not None
     assert verify_certificate(f, *found, QSHIFT_X_DERIV_Y)
+
+
+# (pair, input, exact) over symbolic q: g's and h's denominators are
+# x-monomials times x-free factors, so every column of the oracle's system
+# is a polynomial in q times a rational vector
+SPLIT = ((QSHIFT_X_DERIV_Y, 7 / (x * y), True),
+         (QSHIFT_X_SHIFT_Y, 7 / (x * y), True),
+         (QSHIFT_X_DERIV_Y, 1 / (x * y ** 2), True),
+         (QSHIFT_X_DERIV_Y, x / (y * (y + 1)), True),
+         (QSHIFT_X_DERIV_Y, 1 / y, False),
+         (QSHIFT_X_SHIFT_Y, 1 / y, False))
+
+
+def _recording_solves(monkeypatch):
+    from ratexact import deciders
+    real, domains = deciders._solve_linear, []
+
+    def recording(columns, K):
+        domains.append(K)
+        return real(columns, K)
+
+    monkeypatch.setattr(deciders, "_solve_linear", recording)
+    return domains
+
+
+def _printed(found):
+    return None if found is None else tuple(map(canonical_str, found))
+
+
+def test_split_systems_are_solved_over_q(monkeypatch):
+    # each split system makes one solve over Q and none over Q(q), and
+    # gives the certificate, or None, of the solve over Q(q)
+    from ratexact import deciders
+    # q*x is no rational multiple of q + 1, though the leading terms agree
+    Y, X, Q = T.pair_ring().gens
+    for P in ((Q + 1) * Y + Q * X, Q * Y + (Q + 1) * X,
+              (Q + 1) * Y + (Q + 2) * X):
+        assert deciders._q_times_rational(P) is None
+    s, C = deciders._q_times_rational((2 * Q + 2) * Y - (3 * Q + 3) * X)
+    assert s[1,] == s[0,] and C[0, 1] / C[1, 0] == sp.QQ(-3, 2)
+    domains = _recording_solves(monkeypatch)
+    QQ = sp.QQ
+    got = []
+    for pair, expr, exact in SPLIT:
+        f = RatFunc(expr, T)
+        domains.clear()
+        found = brute_force_exact(f, pair)
+        assert domains == [QQ], (pair.name, expr)
+        assert (found is not None) == exact, (pair.name, expr)
+        if found is not None:
+            assert verify_certificate(f, *found, pair)
+        got.append(_printed(found))
+    monkeypatch.setattr(deciders, "_q_times_rational", lambda P: None)
+    for (pair, expr, _), printed in zip(SPLIT, got):
+        domains.clear()
+        assert _printed(brute_force_exact(RatFunc(expr, T), pair)) == printed
+        assert domains == [QQ.frac_field(q)], (pair.name, expr)
+    # a denominator factor x - 1 or (7q - 9)x + 1 does not split
+    monkeypatch.undo()
+    domains = _recording_solves(monkeypatch)
+    g = RatFunc(1 / (x * ((7 * q - 9) * x + 1)), T)
+    for f, R, D in ((RatFunc(1 / ((x - 1) * y), T), 1, 0),
+                    (QSHIFT_X_DERIV_Y.dx.delta(g), 2, 2)):
+        domains.clear()
+        brute_force_exact(f, QSHIFT_X_DERIV_Y, R=R, D=D)
+        assert domains == [QQ.frac_field(q)]
+
+
+def test_wrong_oracle_solution_fails_verification(monkeypatch):
+    # one coefficient added to the split solution
+    from ratexact import deciders
+    real = deciders._solve_linear
+
+    def corrupted(columns, K):
+        sol = real(columns, K)
+        sol[0] += K.one
+        return sol
+
+    monkeypatch.setattr(deciders, "_solve_linear", corrupted)
+    with pytest.raises(RatexactError, match="oracle certificate"):
+        brute_force_exact(RatFunc(7 / (x * y), T), QSHIFT_X_DERIV_Y)
 
 
 def test_brute_force_takes_no_gcd_per_column(monkeypatch):

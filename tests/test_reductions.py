@@ -243,3 +243,27 @@ def test_trace_and_average_match_their_definition():
             assert ((g.numer * c.denom * (2 * m)
                      + c.numer * g.denom * (m * (m - 1))) * weighted.denom
                     == weighted.numer * g.denom * c.denom * 2)
+
+
+def test_proportional_residual_numerators_share_one_reduction(monkeypatch):
+    # x^20/(y*(y+1)*(y+2)) leaves the residues x^20/2, -x^20 and x^20/2 in
+    # y, scalar multiples of one another: one reduction in x serves all three
+    from ratexact import reductions
+    from ratexact.deciders import SHIFT_X_DERIV_Y, decide_exact, \
+        verify_certificate
+    real, calls = reductions.abramov_reduce, []
+
+    def counting(f, op):
+        calls.append(op)
+        return real(f, op)
+
+    monkeypatch.setattr(reductions, "abramov_reduce", counting)
+    f = RatFunc(x ** 20 / (y * (y + 1) * (y + 2)), P)
+    d = decide_exact(f, SHIFT_X_DERIV_Y)
+    assert d.exact and verify_certificate(f, *d.certificate, SHIFT_X_DERIV_Y)
+    assert len(calls) == 1
+    # residues that are not proportional keep a reduction each
+    calls.clear()
+    f = RatFunc(x ** 2 / y + x / (y + 1), P)
+    assert decide_exact(f, SHIFT_X_DERIV_Y).exact
+    assert len(calls) == 2
