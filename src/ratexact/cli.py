@@ -151,6 +151,8 @@ def _polynomial(text, mode, message):
 def _cmd_residue(args):
     if args.mult < 1:
         raise RatexactError("--mult must be at least 1")
+    if args.kind == "dy" and args.mult != 1:
+        raise RatexactError("--mult applies to --kind sy")
     mode = _mode_from_args(args)
     f = parse_ratfunc(args.expr, mode)
     dp = _polynomial(args.at, mode, "--at must be a polynomial")

@@ -14,10 +14,14 @@ k(x)[y]), and every scalar (an orbit scale, a unit, a power of q) is an
 element of ``QMode.coeff_domain()``, moved to and from the pair ring as a
 pair by ``from_scalar`` and ``to_scalar``.  A sympy ``Expr`` is read only
 as the input of the constructors ``BiPoly(expr, mode)`` and
-``RatFunc(expr, mode)``, and built only by ``as_expr()``.  Over Q(zeta_m)
-every gcd is modular (``_zeta_gcd``), with sympy's subresultant PRS as its
-fallback, and the integer lift ``_zeta_lift`` to Z[y, x, q] serves the
-identity check of ``is_difference`` and the printer.
+``RatFunc(expr, mode)``, and built only by ``as_expr()``.  Each field has
+one gcd route, ``cofactors``: over Z[y, x] and Z[y, x, q] a pair whose
+images modulo a prime are coprime (``_coprime``) skips sympy's gcd; over
+Q(zeta_m) every gcd is modular (``_zeta_gcd``, whose first prime proves a
+coprime pair), with sympy's subresultant PRS as its fallback.  The gcd of
+many elements (``gcd_all``) folds through ``cofactors``, and the integer
+lift ``_zeta_lift`` to Z[y, x, q] serves the identity check of
+``is_difference`` and the printer.
 
 Canonical form (lex order y > x, then q): over Q and Q(q) the pair is
 coprime in the integer ring, with coprime contents and a positive leading
@@ -86,10 +90,9 @@ def scale_gen(p, i, c, top=None):
     return out
 
 
-def exponent_map(p, f, ring=None):
-    """Element of ring (default: p's ring) with each monomial m of p moved
-    to f(m)."""
-    out = (ring or p.ring).zero
+def exponent_map(p, f):
+    """Element of p's ring with each monomial m of p moved to f(m)."""
+    out = p.ring.zero
     for m, c in p.items():
         out[f(m)] = c
     return out
@@ -141,26 +144,52 @@ def _normal(n, d):
     return n, d
 
 
-# the prime of the modular coprimality test over Q: 2, 3 and 5 have
+# the prime of the modular coprimality test over Q and Q(q): 2, 3 and 5 have
 # multiplicative order above 10^9 modulo it, so the images of distinct
 # q-translates c(q^t x) of a polynomial stay distinct for small rational q
 # (modulo 2^31 - 1, 2^t x - 1 and 2^(t+31) x - 1 have the same image)
 _PRIME_Q = 2147483587
 
 
-def _residue_map(p, mode):
-    """(prime, lift): lift(c) is the image in GF(prime) of a coefficient c
-    of p, or None when c is not prime-integral.  Over Q(zeta_m), zeta_m
-    goes to a root of the cyclotomic polynomial mod prime."""
-    if not p.ring.domain.is_Field:
-        return _PRIME_Q, lambda c: c % _PRIME_Q
-    prime, roots = mode.residue_map()
-    row = _zeta_matrices(prime, roots)[0][0]
+def _image(p, k):
+    """Dense coefficients (highest first) in GF(_PRIME_Q)[t] of the image
+    of the integer polynomial p under g_k -> t and every other generator
+    -> _EVAL_POINT."""
+    out = {}
+    for mon, c in p.items():
+        e = mon[k]
+        a = c % _PRIME_Q * pow(_EVAL_POINT, sum(mon) - e, _PRIME_Q)
+        out[e] = (out.get(e, 0) + a) % _PRIME_Q
+    top = max(out)
+    dense = [out.get(e, 0) for e in range(top, -1, -1)]
+    while dense and not dense[0]:
+        dense.pop(0)
+    return dense
 
-    def lift(c):
-        a = _coords(c, prime)
-        return None if a is None else sum(map(mul, a, row)) % prime
-    return prime, lift
+
+def _coprime(n, d):
+    """True only if the integer polynomials n and d have no common factor
+    of positive degree.
+
+    A common factor h of degree e > 0 in one generator maps to a common
+    factor of degree e of the images in that generator over GF(p), once
+    the image of d keeps d's degree: the leading coefficient of h divides
+    d's.  So coprime images in every generator prove n and d coprime; any
+    other outcome (False) leaves the question to the exact gcd."""
+    for k in range(d.ring.ngens):
+        dn = _image(d, k)
+        if len(dn) - 1 != d.degree(k):
+            return False
+        if len(gf_gcd(dn, _image(n, k), _PRIME_Q, ZZ)) > 1:
+            return False
+    return True
+
+
+# -- the modular gcd over Q(zeta_m) -------------------------------------
+
+# primes p = 1 mod m tried before a gcd over Q(zeta_m) falls back to the
+# subresultant PRS; each takes about 31 bits of the coefficients
+_GCD_PRIMES = 16
 
 
 def _coords(c, prime):
@@ -195,53 +224,6 @@ def _zeta_matrices(prime, roots):
                 t = A[i][col]
                 A[i] = [(a - t * b) % prime for a, b in zip(A[i], A[col])]
     return tuple(map(tuple, V)), tuple(tuple(row[n:]) for row in A)
-
-
-def _image(p, k, prime, lift):
-    """Dense coefficients (highest first) in GF(prime)[t] of the image of
-    p under g_k -> t, every other generator -> _EVAL_POINT and each
-    coefficient c -> lift(c); None when a coefficient is not
-    prime-integral."""
-    out = {}
-    for mon, c in p.items():
-        a = lift(c)
-        if a is None:
-            return None
-        e = mon[k]
-        a = a * pow(_EVAL_POINT, sum(mon) - e, prime)
-        out[e] = (out.get(e, 0) + a) % prime
-    top = max(out)
-    dense = [out.get(e, 0) for e in range(top, -1, -1)]
-    while dense and not dense[0]:
-        dense.pop(0)
-    return dense
-
-
-def _coprime(n, d, mode):
-    """True only if n and d have no common factor.
-
-    Scaled to be integral at a prime ideal over p (Gauss's lemma), a
-    common factor h of degree e > 0 in one generator maps to a common
-    factor of degree e of the images in that generator over GF(p), once
-    the image of d keeps d's degree: the leading coefficient of h divides
-    d's.  So coprime images in every generator prove n and d coprime; any
-    other outcome (False) leaves the question to the exact gcd."""
-    prime, lift = _residue_map(d, mode)
-    for k in range(d.ring.ngens):
-        dn = _image(d, k, prime, lift)
-        nn = _image(n, k, prime, lift)
-        if dn is None or nn is None or len(dn) - 1 != d.degree(k):
-            return False
-        if len(gf_gcd(dn, nn, prime, ZZ)) > 1:
-            return False
-    return True
-
-
-# -- the modular gcd over Q(zeta_m) -------------------------------------
-
-# primes p = 1 mod m tried before a gcd over Q(zeta_m) falls back to the
-# subresultant PRS; each takes about 31 bits of the coefficients
-_GCD_PRIMES = 16
 
 
 def _gf_primitive(A, p):
@@ -454,19 +436,22 @@ def _reconstruct(acc, M, ring):
 
 
 def cofactors(a, b, mode):
-    """(a/h, b/h) for h a gcd of a and b.  A pair with a ground member,
-    or whose modular images are coprime, skips the gcd: on a reduced sum
-    or product that is the common case, and the gcd's cost grows with
-    the size of the coefficients (heuristic gcd over Q).  Over Q(zeta_m)
-    the gcd is modular (``_zeta_gcd``), with the subresultant PRS as its
-    fallback; over Z it is sympy's, and h carries the gcd of the
-    contents."""
-    if a.is_ground or b.is_ground or _coprime(a, b, mode):
+    """(a/h, b/h) for h a gcd of a and b.  A pair with a ground member
+    skips the gcd.  Over Z[y, x] and Z[y, x, q] so does a pair whose
+    images modulo a prime are coprime (``_coprime``): on a reduced sum or
+    product that is the common case, and sympy's gcd (heuristic, with
+    the gcd of the contents in h) grows with the size of the
+    coefficients.  Over Q(zeta_m) the gcd is modular (``_zeta_gcd``),
+    which proves a coprime pair at its first prime, with the
+    subresultant PRS as its fallback."""
+    if a.is_ground or b.is_ground:
         return a, b
     if a.ring.domain.is_Algebraic:
         found = _zeta_gcd((a, b), mode)
         if found:
             return tuple(found[1])
+    elif _coprime(a, b):
+        return a, b
     return a.cofactors(b)[1:]
 
 
@@ -543,22 +528,17 @@ def prem_y(p, d):
     return p.prem(d), d.coeff_wrt(0, d.degree()) ** k
 
 
-def _content_y(polys, mode):
-    """A gcd of the y-coefficients of the pair-ring elements polys; over
-    Q(zeta_m) the modular gcd of all of them at once."""
-    cs = (p.coeff_wrt(0, j) for p in polys
-          for j in {m[0] for m in p.itermonoms()})
-    g = polys[0].ring.zero
-    if g.ring.domain.is_Algebraic:
-        cs = list(cs)
-        found = len(cs) > 1 and _zeta_gcd(cs, mode)
-        if found:
-            return found[0]
-    for c in cs:  # stops at the first ground gcd
-        g = g.gcd(c)
+def gcd_all(polys, mode):
+    """A gcd of the nonzero pair-ring elements polys, and ring.one when it
+    is constant: a fold through ``cofactors``, shortest first, that stops
+    at the first ground gcd."""
+    polys = sorted(polys, key=len)
+    g = polys[0]
+    for c in polys[1:]:
         if g.is_ground:
-            return g.ring.one
-    return g
+            break
+        g = g.exquo(cofactors(g, c, mode)[0])
+    return g.ring.one if g.is_ground else g
 
 
 def inverse_mod(c, P, mode):
@@ -571,7 +551,8 @@ def inverse_mod(c, P, mode):
         m = r1.coeff_wrt(0, r1.degree()) ** (r0.degree() - r1.degree() + 1)
         quo, rem = r0.pdiv(r1)  # m*r0 == quo*r1 + rem
         s = s0 * m - quo * s1
-        g = _content_y((rem, s), mode)
+        g = gcd_all([p.coeff_wrt(0, j) for p in (rem, s)
+                     for j in {m[0] for m in p.itermonoms()}], mode)
         r0, s0, r1, s1 = r1, s1, rem.exquo(g), s.exquo(g)
     return s1, r1
 

@@ -43,7 +43,8 @@ import sympy as sp
 from sympy import ZZ
 from sympy.polys.factortools import dup_zz_factor
 
-from .core import BiPoly, cofactors, exponent_map, lead_yx, to_scalar
+from .core import (BiPoly, cofactors, exponent_map, gcd_all, lead_yx,
+                   to_scalar)
 from .errors import RatexactError, ZeroPolynomial
 from .qmodes import plain
 
@@ -149,12 +150,7 @@ def _content_split(F, mode):
             rows.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
         if len(rows) == 1 or min(map(len, rows.values())) == 1:
             continue  # free of generator i, or a coefficient is a term
-        cs = sorted((F.ring.from_dict(r) for r in rows.values()), key=len)
-        g = cs[0]
-        for c in cs[1:]:
-            if g.is_ground:
-                break
-            g = g.exquo(cofactors(g, c, mode)[0])
+        g = gcd_all([F.ring.from_dict(r) for r in rows.values()], mode)
         if not g.is_ground:
             return [g, F.exquo(g)]
     return None

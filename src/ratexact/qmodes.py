@@ -74,7 +74,7 @@ class QMode:
         raise QModeMismatch("no q available in plain mode")
 
     @lru_cache(maxsize=None)
-    def residue_map(self, i=0):
+    def residue_map(self, i):
         """(p, roots) for q = zeta_m: the i-th prime p = 1 mod m above
         2^31 and the phi(m) primitive m-th roots of unity mod p, r^k for
         k prime to m with r = roots[0].  Each zeta_m -> r^k maps the

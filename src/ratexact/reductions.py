@@ -349,26 +349,19 @@ def _tau_split(f: RatFunc):
     return L, P0, P1
 
 
-def to_w(p, m):
-    """p in k[y, x^m] as a polynomial in w = x^m, with x standing for w."""
-    return exponent_map(p, lambda e: (e[0], e[1] // m))
-
-
-def from_w(p, m):
-    """p with w = x^m put back for x."""
-    return exponent_map(p, lambda e: (e[0], e[1] * m))
-
-
 def pull_back(r: RatFunc, m: int) -> RatFunc:
     """r with w = x^m put back for x.  x^m -> w keeps a pair coprime and
     its lex scaling both ways, so a canonical pair stays canonical."""
-    return type(r)._new(from_w(r.numer, m), from_w(r.denom, m), r.mode)
+    n, d = (exponent_map(p, lambda e: (e[0], e[1] * m))
+            for p in (r.numer, r.denom))
+    return type(r)._new(n, d, r.mode)
 
 
 def _invariant(P, L, m, mode):
     """The canonical P/L in w = x^m, with x standing for w, for P and L in
     k[y, x^m]: the gcd runs on 1/m of the x-degree."""
-    return RatFunc.from_ring(to_w(P, m), to_w(L, m), mode)
+    n, d = (exponent_map(p, lambda e: (e[0], e[1] // m)) for p in (P, L))
+    return RatFunc.from_ring(n, d, mode)
 
 
 def trace_xm(f: RatFunc) -> RatFunc:

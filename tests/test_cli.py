@@ -497,6 +497,19 @@ def test_residue_multiplicity_below_one_is_exit_2(capsys, kind, mult):
     assert err == "error: --mult must be at least 1\n"
 
 
+@pytest.mark.parametrize("mult", ["2", "3"])
+def test_residue_multiplicity_applies_to_sy_only(capsys, mult):
+    # the residue in d/dy has no multiplicity: 1/y^2 at y with --mult 2
+    # would print the numerator over y, 0, as if k were ignored
+    code, out, err = run(capsys, "residue", "--kind", "dy", "--at", "y",
+                         "--mult", mult, "--expr", "1/y^2")
+    assert code == 2 and out == ""
+    assert err == "error: --mult applies to --kind sy\n"
+    code, out, _ = run(capsys, "residue", "--kind", "dy", "--at", "y",
+                       "--mult", "1", "--expr", "1/y^2")
+    assert code == 0 and out == "0\n"
+
+
 @pytest.mark.parametrize("kind", ["dy", "sy"])
 @pytest.mark.parametrize("at", ["0", "2", "x+1"])
 def test_residue_at_a_y_free_polynomial_is_exit_2(capsys, kind, at):

@@ -306,18 +306,24 @@ def test_ground_denominator_matches_gcd_path():
 
 
 def test_modular_coprimality_never_hides_a_common_factor():
-    # over Q(zeta_m) a pair skips the gcd when its images mod p are
-    # coprime; a shared factor must still cancel, to the gcd's pair
+    # over Z[y, x] and Z[y, x, q] a pair skips the gcd when its images mod
+    # a prime are coprime; a planted factor must never pass the filter,
+    # and a shared factor must still cancel, to the gcd's pair, over
+    # every field
     from ratexact.core import _EVAL_POINT, _coprime
     rng = random.Random(23)
-    for m in (3, 4, 5):
-        mode = root_of_unity(m)
+    for mode in (P, T, root_of_unity(3), root_of_unity(4), root_of_unity(5)):
         ring = mode.pair_ring()
-        Y, X = ring.gens
-        z = ring.ground_new(mode.q_element())
+        Y, X = ring.gens[:2]
+        if mode.kind == ROOT_OF_UNITY:
+            z = ring.ground_new(mode.q_element())
+            units = [z ** k for k in range(mode.order)]
+        else:
+            units = [g ** k for g in ring.gens[2:] for k in range(3)]
+            units = units or [ring.one]
 
         def rand():
-            return sum((rng.randint(-3, 3) * z ** rng.randint(0, m - 1)
+            return sum((rng.randint(-3, 3) * rng.choice(units)
                         * X ** i * Y ** j
                         for i in range(2) for j in range(2)), ring.one)
         # a factor whose images at the evaluation point are constant
@@ -327,7 +333,8 @@ def test_modular_coprimality_never_hides_a_common_factor():
             a, b, c = rand(), rand(), rand() if k else vanishing
             if c.is_ground or b.is_ground:
                 continue
-            assert not _coprime(a * c, b * c, mode)
+            if not ring.domain.is_Field:
+                assert not _coprime(a * c, b * c)
             f = RatFunc.from_ring(a * c, b * c, mode)
             assert f == RatFunc.from_ring(a, b, mode)
             assert f.numer.gcd(f.denom).is_ground
@@ -346,7 +353,7 @@ def test_modular_gcd_matches_the_prs():
     # planted common factors: monomials, x-only, y-only, mixed and with
     # zeta coefficients; the gcd is the PRS's monic one, and so are the
     # cofactors
-    from ratexact.core import _content_y, _zeta_gcd, cofactors
+    from ratexact.core import _zeta_gcd, cofactors, gcd_all
     rng = random.Random(41)
     for m in (3, 4, 5, 6, 7, 8, 9, 12):
         mode, ring, Y, X, z = _zeta_ring(m)
@@ -370,7 +377,22 @@ def test_modular_gcd_matches_the_prs():
         ps = [rand(0, 2) * (X + z) for _ in range(3)]
         h = _zeta_gcd(ps, mode)[0]
         assert h == reduce(lambda g, p: g.gcd(p), ps)
-        assert _content_y([p * Y ** i for i, p in enumerate(ps)], mode) == h
+        assert gcd_all([p * Y ** i for i, p in enumerate(ps)], mode) == h
+
+
+def test_gcd_all_is_one_when_constant():
+    # a shortest polynomial that is an integer not dividing the rest ends
+    # the fold at once, and the gcd is the ring's one, not that integer:
+    # inverse_mod divides by it
+    from ratexact.core import gcd_all
+    for mode in (P, T, root_of_unity(3)):
+        ring = mode.pair_ring()
+        Y, X = ring.gens[:2]
+        for polys in ([2 * X * Y + 2, ring(3), 6 * Y - 3],
+                      [X + 1, ring(2), X ** 2 - 1]):
+            assert gcd_all(polys, mode) == ring.one
+        assert gcd_all([2 * (X + 1), 4 * (X + 1) * Y], mode) == (
+            X + 1 if mode.kind == ROOT_OF_UNITY else 2 * X + 2)
 
 
 def test_modular_gcd_drops_an_unlucky_prime(monkeypatch):
