@@ -426,6 +426,20 @@ def test_degree_ceiling_is_exit_2(capsys):
     assert err.startswith("error: total degree 10000 exceeds the ceiling"), err
 
 
+@pytest.mark.parametrize("text, top", [("(x+y+1)^10000", 10000),
+                                       ("(x+1)^1600/(x+1)^1599", 1600)])
+def test_power_of_a_sum_is_refused_before_expansion(capsys, text, top):
+    # (x+y+1)^10000 would expand about 50 million terms before the
+    # ceiling on the reduced result could refuse it
+    import time
+    t = time.perf_counter()
+    code, out, err = run(capsys, "decide", "--pair", "dx-dy", "--expr", text)
+    assert time.perf_counter() - t < 1
+    assert code == 2 and out == ""
+    assert err == ("error: total degree %d exceeds the ceiling 1500\n"
+                   % top), err
+
+
 def test_bad_input_is_exit_2(capsys, tmp_path):
     # bad input is a RatexactError or an OSError, never an internal error
     for q in ("abc", "1/0", "7" * 5000):

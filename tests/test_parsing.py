@@ -54,12 +54,15 @@ def test_no_implicit_multiplication():
 
 
 def test_error_positions():
-    with pytest.raises(ExprSyntaxError) as ei:
-        parse_ratfunc("1/(x+", P)
-    assert ei.value.line == 1 and ei.value.col == 6
-    with pytest.raises(ExprSyntaxError) as ei:
-        parse_ratfunc("x +\n* y", P)
-    assert ei.value.line == 2 and ei.value.col == 1
+    # a tab is one column; "\r\n" ends a line as "\n" does
+    for text, line, col in (
+            ("1/(x+", 1, 6), ("x +\n* y", 2, 1),
+            ("x +\t)", 1, 5), ("\t\t2*x + $", 1, 9),
+            ("x\r\n+ y +\r\n * 2", 3, 2), ("x +\r\n\r\n", 3, 1),
+            ("x +\ny *\n2 + $", 3, 5), ("x +\n\ty\r\n+ 3 ?", 3, 5)):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_ratfunc(text, P)
+        assert (ei.value.line, ei.value.col) == (line, col), text
 
 
 def test_q_requires_q_mode():
@@ -137,7 +140,7 @@ def test_degree_ceiling():
 
 
 def test_parse_reduces_once(monkeypatch):
-    # the parser evaluates pairs and reduces only the result
+    # the parser reduces only the result
     num = " + ".join("%d*x^%d*y^%d" % (i + 1, i % 7, i // 7)
                      for i in range(20))
     den = " - ".join("(%d*y^%d*x)" % (2 * i + 1, i) for i in range(10))
@@ -152,6 +155,69 @@ def test_parse_reduces_once(monkeypatch):
     f = parse_ratfunc("(%s)/(%s)" % (num, den), P)
     assert len(calls) == 1
     assert len(f.numer.terms()) == 20 and len(f.denom.terms()) == 10
+
+
+@pytest.mark.parametrize("token", ["none", "symbolic", "3/2", "zeta:4"])
+def test_sums_of_monomials_take_no_ring_products(token, monkeypatch):
+    # a sum of monomials is read by exponent arithmetic into one ring
+    # element: no pair-ring product or power runs before the reduction
+    from sympy.polys.rings import PolyElement
+    mode = {"none": P, "symbolic": T, "3/2": rational("3/2"),
+            "zeta:4": root_of_unity(4)}[token]
+    text = ("(-4*x*y^2*q + 4*x*y^2 - 3*x*y*q^3 + 3*x*y - 3*x*q/2 + 3*x)"
+            "/(x^2*y^2*q - 5*x*y - x*y*q^-1 + 1)")
+    if not mode.has_q:
+        text = text.replace("q", "7")
+    f = parse_ratfunc(text, mode)
+    calls, seen = [], []
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        def counting(*args, real=getattr(PolyElement, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(PolyElement, name, counting)
+    real = ratexact.core._reduce
+
+    def reduce(*args):
+        seen.append(len(calls))
+        return real(*args)
+
+    monkeypatch.setattr(ratexact.core, "_reduce", reduce)
+    assert parse_ratfunc(text, mode) == f
+    assert seen == [0]
+
+
+def test_degree_ceiling_refuses_products_of_sums(monkeypatch):
+    # a product or power of sums over the ceiling is refused before it
+    # is expanded, in a sum's common denominator too: degrees records
+    # each product and power of sums the parser expands
+    from sympy.polys.rings import PolyElement
+    degrees = []
+
+    def degree(p):
+        return max((m[0] + m[1] for m in p.itermonoms()), default=0)
+
+    real_mul, real_pow = PolyElement.__mul__, PolyElement.__pow__
+
+    def mul(a, b):
+        if len(a) > 1 and len(b) > 1:
+            degrees.append(degree(a) + degree(b))
+        return real_mul(a, b)
+
+    def power(a, n):
+        if len(a) > 1:
+            degrees.append(degree(a) * n)
+        return real_pow(a, n)
+
+    monkeypatch.setattr(PolyElement, "__mul__", mul)
+    monkeypatch.setattr(PolyElement, "__pow__", power)
+    for text, top in (("(x^800 + 1)*(x^800 + 2)", 1600),
+                      ("1/(x^800 + 1) + 1/(y^800 + 2)", 1600),
+                      ("((x + y)^2)^751", 1502), ("(x/(y + 1))^1501", 1501)):
+        with pytest.raises(RatexactError) as ei:
+            parse_ratfunc(text, P)
+        assert str(ei.value) == ("total degree %d exceeds the ceiling %d"
+                                 % (top, MAX_DEGREE))
+    assert degrees and max(degrees) <= MAX_DEGREE
 
 
 def test_print_parse_round_trip():
@@ -234,17 +300,22 @@ def test_round_trip_root_of_unity():
 # -- differential: the parser against the public Expr constructor ------
 
 _DIFF_MODES = {"none": P, "2/3": rational(sp.Rational(2, 3)),
-               "symbolic": T, "zeta:3": root_of_unity(3),
-               "zeta:4": root_of_unity(4)}
+               "2^64": rational(2 ** 64), "symbolic": T,
+               **{"zeta:%d" % m: root_of_unity(m)
+                  for m in (1, 2, 3, 4, 5, 12)}}
 
 
-def _trees(letters, depth=3):
-    """Expression trees: integer and letter leaves; nodes (op, a, b) for
-    op in + - * /, ("neg", a) and ("^", a, n)."""
+def _trees(letters, depth=3, kmax=0):
+    """Expression trees: integer and letter leaves, and q^k leaves
+    ("^", "q", k) for |k| <= kmax; nodes (op, a, b) for op in + - * /,
+    ("neg", a) and ("^", a, n)."""
     leaf = st.sampled_from([*letters, *letters, 0, 1, 2, 7])
+    if kmax:
+        leaf = st.one_of(leaf, st.tuples(st.just("^"), st.just("q"),
+                                         st.integers(-kmax, kmax)))
     if not depth:
         return leaf
-    sub = _trees(letters, depth - 1)
+    sub = _trees(letters, depth - 1, kmax)
     return st.one_of(st.tuples(st.sampled_from("+-*/"), sub, sub),
                      st.tuples(st.just("^"), sub, st.integers(-3, 3)),
                      st.tuples(st.just("neg"), sub), leaf)
@@ -279,7 +350,10 @@ def _expr(tree, mode, qv):
     if op == "neg":
         return -a
     if op == "^":
-        return (1 / nonzero(a)) ** -tree[2] if tree[2] < 0 else a ** tree[2]
+        if tree[2] >= 0:
+            return a ** tree[2]
+        # q is nonzero in every q-mode
+        return (1 / (a if tree[1] == "q" else nonzero(a))) ** -tree[2]
     b = _expr(tree[2], mode, qv)
     if op == "/":
         return a / nonzero(b)
@@ -290,8 +364,12 @@ def _expr(tree, mode, qv):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_parser_matches_expr_constructor(token, data):
+    # q^k leaves with |k| up to 2m + 1 over Q(zeta_m): exponents of zeta
+    # that wrap around m and go negative
     mode = _DIFF_MODES[token]
-    tree = data.draw(_trees("xyq" if mode.has_q else "xy"))
+    kmax = 2 * mode.order + 1 if mode.order else 3
+    tree = data.draw(_trees("xyq", kmax=kmax) if mode.has_q
+                     else _trees("xy"))
     if mode.kind == "transcendental":
         qv = q
     elif mode.has_q:
